@@ -144,7 +144,8 @@ emitTable(const Table &table)
     std::printf("-- csv --\n%s\n", table.csv().c_str());
 }
 
-BenchReport::BenchReport(std::string name) : name_(std::move(name))
+BenchReport::BenchReport(std::string name, bool smoke)
+    : name_(std::move(name)), smoke_(smoke)
 {
 }
 
@@ -187,6 +188,7 @@ BenchReport::finish()
     // the CLI --json mode — this used to be hand-rolled fprintf.
     JsonValue out = JsonValue::object();
     out.set("bench", JsonValue::str(name_));
+    out.set("smoke", JsonValue::boolean(smoke_));
     out.set("host_threads",
             JsonValue::number(std::uint64_t{threads}));
     out.set("host_wall_seconds", JsonValue::number(seconds));

@@ -142,12 +142,13 @@ runPoints(std::size_t n, Fn &&fn)
  * Per-bench report: collects the figure's tables, then finish() (or
  * the destructor) prints the host wall clock and writes
  * BENCH_<name>.json — simulated cycles alongside host seconds, so
- * harness speed is tracked across PRs.
+ * harness speed is tracked across PRs. `smoke` is recorded in the
+ * JSON so a CI-sized run can never pass for a full one.
  */
 class BenchReport
 {
   public:
-    explicit BenchReport(std::string name);
+    explicit BenchReport(std::string name, bool smoke = benchSmoke());
     ~BenchReport();
 
     /** emitTable() + record the table for the JSON dump. */
@@ -162,6 +163,7 @@ class BenchReport
 
   private:
     std::string name_;
+    bool smoke_;
     WallTimer timer_;
     std::vector<std::pair<std::string, std::string>> tables_;
     std::vector<std::pair<std::string, JsonValue>> extras_;

@@ -212,7 +212,7 @@ tcEdgeCount(const graph::CsrGraph &g)
 int
 runSetIndexBench(bool smoke)
 {
-    bench::BenchReport report("setindex");
+    bench::BenchReport report("setindex", smoke);
     const std::size_t la = smoke ? 1024 : 4096;
     const std::size_t pairs = smoke ? 4 : 16;
     const double min_seconds = smoke ? 0.02 : 0.2;
@@ -388,7 +388,7 @@ main(int argc, char **argv)
                           {"subtract", runSubtract},
                           {"merge", runMerge}};
 
-    bench::BenchReport report("kernels");
+    bench::BenchReport report("kernels", smoke);
     Table table({"op", "n", "kernel", "Melem/s", "speedup"});
     Rng rng(0xbe7c4);
     for (const std::size_t n : lengths) {

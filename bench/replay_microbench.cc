@@ -120,7 +120,7 @@ main(int argc, char **argv)
          }},
     };
 
-    bench::BenchReport report("replay");
+    bench::BenchReport report("replay", smoke);
     Table table({"app", "backend", "events", "event replays/s",
                  "bytecode replays/s", "speedup"});
     Table compile({"app", "events", "instructions", "event bytes",

@@ -33,13 +33,110 @@ struct NestedRef
     Key bound = noBound;
 };
 
+/** Handle of an engine stream with no trace handle (the lowered
+ *  nested loop's temporaries). */
+constexpr std::uint64_t kNoHandle = ~std::uint64_t{0};
+
 /**
- * The shared pressure + cost accumulator both adapters drive, one
- * call per source event in replay order.
- *
- * Pressure is the concrete live count of the event walk, counted
- * exactly as StreamLifetimeChecker does (sentinel handles ignored,
- * redefines keep the count, frees of unknown handles are no-ops).
+ * The config-free pressure walk, one call per source event in replay
+ * order (the same interface SummaryAccum exposes, so both walkers
+ * drive either). Pressure is the concrete live count of the event
+ * walk, counted exactly as StreamLifetimeChecker does (sentinel
+ * handles ignored, redefines keep the count, frees of unknown
+ * handles are no-ops). The point index is the source event index;
+ * a run-length scalar record advances it by its repeat count.
+ */
+class PressureWalk
+{
+  public:
+    void scalarOps(std::uint64_t, std::uint32_t repeat) { pc_ += repeat; }
+    void scalarBranch() { ++pc_; }
+    void scalarLoad() { ++pc_; }
+
+    void
+    streamLoad(std::uint64_t handle, Addr, std::uint64_t, bool)
+    {
+        define(handle);
+    }
+
+    void
+    streamFree(std::uint64_t handle)
+    {
+        ++summary_.frees;
+        if (!ignoredHandle(handle)) {
+            const auto it = liveSet_.find(handle);
+            if (it != liveSet_.end() && it->second) {
+                it->second = false;
+                --live_;
+            }
+        }
+        ++pc_;
+    }
+
+    void
+    setOp(std::uint64_t handle, SetOpKind, KeySpan, KeySpan, Key,
+          std::uint64_t)
+    {
+        define(handle);
+    }
+
+    void setOpCount(SetOpKind, KeySpan, KeySpan, Key) { ++pc_; }
+    void valueIntersect(KeySpan, KeySpan, std::uint64_t) { ++pc_; }
+
+    void
+    valueMerge(std::uint64_t handle, KeySpan, KeySpan, bool, bool,
+               std::uint64_t)
+    {
+        define(handle);
+    }
+
+    void nestedGroup(KeySpan, const std::vector<NestedRef> &) { ++pc_; }
+    void consumeStream() { ++pc_; }
+    void iterateStream(std::uint64_t, unsigned) { ++pc_; }
+
+    PressureSummary
+    finish() &&
+    {
+        summary_.points = pc_;
+        return std::move(summary_);
+    }
+
+  private:
+    static bool
+    ignoredHandle(std::uint64_t handle)
+    {
+        return handle == kNoHandle || handle == trace::noTraceStream;
+    }
+
+    /** A stream-defining event: loads and producing ops. */
+    void
+    define(std::uint64_t handle)
+    {
+        ++summary_.defines;
+        if (!ignoredHandle(handle)) {
+            const auto it = liveSet_.find(handle);
+            if (it == liveSet_.end() || !it->second)
+                ++live_;
+            liveSet_[handle] = true;
+            if (live_ > summary_.maxPressure) {
+                summary_.maxPressure = live_;
+                summary_.maxPressurePc = pc_;
+                summary_.profile.push_back({pc_, live_});
+            }
+        }
+        ++pc_;
+    }
+
+    std::map<std::uint64_t, bool> liveSet_;
+    unsigned live_ = 0;
+    std::uint64_t pc_ = 0;
+    PressureSummary summary_;
+};
+
+/**
+ * The cost accumulator both walkers drive, one call per source event
+ * in replay order; each call also feeds a PressureWalk, so the
+ * summary's pressure is exactly summarizePressure()'s.
  *
  * Cost mirrors arch::Engine charge by charge (engine.cc is the
  * ground truth; every formula below cites its path):
@@ -85,7 +182,7 @@ class SummaryAccum
     {
         lbScalar_ += repeat * issue(n);
         ub_ += repeat * issue(n);
-        pc_ += repeat;
+        pressure_.scalarOps(n, repeat);
     }
 
     void
@@ -93,7 +190,7 @@ class SummaryAccum
     {
         lbScalar_ += 1;
         ub_ += branchUb_;
-        ++pc_;
+        pressure_.scalarBranch();
     }
 
     void
@@ -101,17 +198,15 @@ class SummaryAccum
     {
         lbScalar_ += 1;
         ub_ += loadUb_;
-        ++pc_;
+        pressure_.scalarLoad();
     }
 
     void
     streamLoad(std::uint64_t handle, Addr key_addr, std::uint64_t len,
                bool kv)
     {
-        (void)kv;
         streamLoadCore(key_addr, len, handle);
-        pressureDefine(handle);
-        ++pc_;
+        pressure_.streamLoad(handle, key_addr, len, kv);
     }
 
     void
@@ -122,21 +217,18 @@ class SummaryAccum
         const auto it = handleSid_.find(handle);
         if (it != handleSid_.end())
             freeEngineStream(it->second);
-        pressureFree(handle);
-        ++pc_;
+        pressure_.streamFree(handle);
     }
 
     void
     setOp(std::uint64_t handle, SetOpKind kind, KeySpan a, KeySpan b,
           Key bound, std::uint64_t result_len)
     {
-        (void)result_len;
         lbScalar_ += issue(2);
         ub_ += issue(2);
         ub_ += chargeSetOp(kind, a, b, bound);
         ub_ += defineEngineStream(handle);
-        pressureDefine(handle);
-        ++pc_;
+        pressure_.setOp(handle, kind, a, b, bound, result_len);
     }
 
     void
@@ -145,7 +237,7 @@ class SummaryAccum
         lbScalar_ += issue(2);
         ub_ += issue(2);
         ub_ += chargeSetOp(kind, a, b, bound);
-        ++pc_;
+        pressure_.setOpCount(kind, a, b, bound);
     }
 
     void
@@ -158,7 +250,7 @@ class SummaryAccum
         const std::uint64_t loads = 2 * matches;
         valueLoads_ += loads;
         ub_ += ceilDiv(loads, vlpc()) + 1 + svpuUb(matches) / 4;
-        ++pc_;
+        pressure_.valueIntersect(a, b, matches);
     }
 
     void
@@ -178,8 +270,7 @@ class SummaryAccum
         valueLoads_ += queue_loads;
         ub_ += ceilDiv(queue_loads, vlpc()) + 1 + svpuUb(pairs) / 8 +
                result_len / 4;
-        pressureDefine(handle);
-        ++pc_;
+        pressure_.valueMerge(handle, a, b, a_val, b_val, result_len);
     }
 
     void
@@ -224,40 +315,40 @@ class SummaryAccum
                 ub_ += issue(1);
             }
         }
-        ++pc_;
+        pressure_.nestedGroup(s_keys, elems);
     }
 
     void
     consumeStream()
     {
         // waitFor stalls to a completion Phi already covers.
-        ++pc_;
+        pressure_.consumeStream();
     }
 
     void
     iterateStream(std::uint64_t n, unsigned ops)
     {
         chargeIterate(n, ops);
-        ++pc_;
+        pressure_.iterateStream(n, ops);
     }
 
     ProgramSummary
     finish() &&
     {
-        summary_.points = pc_;
-        summary_.pressureExact = true;
-        summary_.cost.lower = std::max(
+        ProgramSummary summary;
+        static_cast<PressureSummary &>(summary) =
+            std::move(pressure_).finish();
+        summary.pressureExact = true;
+        summary.cost.lower = std::max(
             {lbScalar_, ceilDiv(suBusy_, std::max(1u, cfg_.numSus)),
              ceilDiv(bwElems_, std::max(1u, cfg_.aggregateBandwidth)),
              ceilDiv(valueLoads_, vlpc())});
-        summary_.cost.upper = ub_;
-        summary_.cost.valid = true;
-        return std::move(summary_);
+        summary.cost.upper = ub_;
+        summary.cost.valid = true;
+        return summary;
     }
 
   private:
-    static constexpr std::uint64_t kNoHandle = ~std::uint64_t{0};
-
     std::uint64_t
     issue(std::uint64_t n) const
     {
@@ -369,46 +460,6 @@ class SummaryAccum
         ub_ += issue(n * ops) + n * branchUb_;
     }
 
-    // ---------------- pressure ----------------
-
-    static bool
-    ignoredHandle(std::uint64_t handle)
-    {
-        return handle == kNoHandle ||
-               handle == trace::noTraceStream ||
-               handle == ~std::uint64_t{0};
-    }
-
-    void
-    pressureDefine(std::uint64_t handle)
-    {
-        ++summary_.defines;
-        if (ignoredHandle(handle))
-            return;
-        const auto it = liveSet_.find(handle);
-        if (it == liveSet_.end() || !it->second)
-            ++live_;
-        liveSet_[handle] = true;
-        if (live_ > summary_.maxPressure) {
-            summary_.maxPressure = live_;
-            summary_.maxPressurePc = pc_;
-            summary_.profile.push_back({pc_, live_});
-        }
-    }
-
-    void
-    pressureFree(std::uint64_t handle)
-    {
-        ++summary_.frees;
-        if (ignoredHandle(handle))
-            return;
-        const auto it = liveSet_.find(handle);
-        if (it != liveSet_.end() && it->second) {
-            it->second = false;
-            --live_;
-        }
-    }
-
     const arch::SparseCoreConfig &cfg_;
 
     Cycles maxL1_ = 0;       ///< all-miss l1Access latency
@@ -431,19 +482,15 @@ class SummaryAccum
     std::unordered_map<std::uint64_t, unsigned> sidIndex_;
     std::unordered_map<std::uint64_t, std::uint64_t> handleSid_;
 
-    // Pressure state (trace-handle granularity, checker semantics).
-    std::map<std::uint64_t, bool> liveSet_;
-    unsigned live_ = 0;
-
-    std::uint64_t pc_ = 0;
-    ProgramSummary summary_;
+    PressureWalk pressure_;
 };
 
-/** walkBytecode handler feeding the accumulator. */
-struct BytecodeSummarizer
+/** walkBytecode handler feeding a PressureWalk or SummaryAccum. */
+template <typename Acc>
+struct BytecodeAdapter
 {
     const trace::BytecodeProgram &bc;
-    SummaryAccum &acc;
+    Acc &acc;
     std::vector<NestedRef> elems; // reused across groups
 
     void
@@ -518,13 +565,11 @@ struct BytecodeSummarizer
     }
 };
 
-} // namespace
-
-ProgramSummary
-summarizeTrace(const trace::Trace &trace,
-               const arch::SparseCoreConfig &config)
+/** Drive a PressureWalk or SummaryAccum over a trace's events. */
+template <typename Acc>
+void
+walkTrace(const trace::Trace &trace, Acc &acc)
 {
-    SummaryAccum acc(config);
     std::vector<NestedRef> elems;
     for (const Event &e : trace.events()) {
         switch (e.kind) {
@@ -589,6 +634,40 @@ summarizeTrace(const trace::Trace &trace,
             panic("trace summary: corrupt event kind");
         }
     }
+}
+
+template <typename Acc>
+void
+walkProgram(const trace::BytecodeProgram &program, Acc &acc)
+{
+    BytecodeAdapter<Acc> handler{program, acc, {}};
+    trace::walkBytecode(program, handler);
+}
+
+} // namespace
+
+PressureSummary
+summarizePressure(const trace::Trace &trace)
+{
+    PressureWalk walk;
+    walkTrace(trace, walk);
+    return std::move(walk).finish();
+}
+
+PressureSummary
+summarizePressure(const trace::BytecodeProgram &program)
+{
+    PressureWalk walk;
+    walkProgram(program, walk);
+    return std::move(walk).finish();
+}
+
+ProgramSummary
+summarizeTrace(const trace::Trace &trace,
+               const arch::SparseCoreConfig &config)
+{
+    SummaryAccum acc(config);
+    walkTrace(trace, acc);
     return std::move(acc).finish();
 }
 
@@ -597,8 +676,7 @@ summarizeBytecode(const trace::BytecodeProgram &program,
                   const arch::SparseCoreConfig &config)
 {
     SummaryAccum acc(config);
-    BytecodeSummarizer handler{program, acc, {}};
-    trace::walkBytecode(program, handler);
+    walkProgram(program, acc);
     return std::move(acc).finish();
 }
 

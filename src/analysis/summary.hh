@@ -10,8 +10,10 @@
  *    (per-pc live counts from the block in-states, exact whenever the
  *    constant lattice kept every sid); for traces and compiled SCBC
  *    images it is the concrete running live count of the event walk.
- *    Pressure against the job's real `ArchConfig` — not the hardcoded
- *    16 — is what admission control (api/job_queue.hh) checks.
+ *    Pressure is a property of the program, not of the machine, so
+ *    summarizePressure() computes it without any SparseCoreConfig;
+ *    admission control (api/job_queue.hh) checks it against the
+ *    job's declared `arch.sus` once per trace, not per arch point.
  *
  *  - **Cost bounds**: a [lower, upper] simulated-cycle interval for a
  *    SparseCore replay of a trace/SCBC image, derived from the same
@@ -57,6 +59,8 @@ struct PressurePoint
 {
     std::uint64_t pc = 0;
     unsigned live = 0;
+
+    bool operator==(const PressurePoint &) const = default;
 };
 
 /** Static [lower, upper] simulated-cycle interval (SparseCore). */
@@ -75,8 +79,8 @@ struct CostBounds
     }
 };
 
-/** Quantitative result of one summarize*() run. */
-struct ProgramSummary
+/** The config-free pressure half of a summary. */
+struct PressureSummary
 {
     /** Program points analyzed: instructions (ISA) or events. */
     std::uint64_t points = 0;
@@ -89,19 +93,24 @@ struct ProgramSummary
     unsigned maxPressure = 0;
     std::uint64_t maxPressurePc = 0;
     /**
-     * True when the pressure numbers are exact: always for the
-     * concrete trace/bytecode walk; for ISA programs only while the
-     * verifier's lattice kept every sid (no sidsUnknown, no stream
-     * merged to Top).
-     */
-    bool pressureExact = true;
-    /**
      * Pressure profile. ISA programs record one point per executed
      * pc (program order); traces record the watermark envelope — the
      * event index of each new live-count maximum — so the profile
      * stays O(maxPressure) for million-event traces.
      */
     std::vector<PressurePoint> profile;
+};
+
+/** Quantitative result of one summarize*() run. */
+struct ProgramSummary : PressureSummary
+{
+    /**
+     * True when the pressure numbers are exact: always for the
+     * concrete trace/bytecode walk; for ISA programs only while the
+     * verifier's lattice kept every sid (no sidsUnknown, no stream
+     * merged to Top).
+     */
+    bool pressureExact = true;
 
     CostBounds cost;
 };
@@ -114,6 +123,14 @@ struct ProgramSummary
  */
 ProgramSummary summarizeProgram(const isa::Program &program,
                                 const VerifyOptions &options = {});
+
+/** Pressure only of a captured trace: the same walk summarizeTrace
+ *  runs, minus every cost charge, so it needs no config. */
+PressureSummary summarizePressure(const trace::Trace &trace);
+
+/** Pressure only of a compiled SCBC image; equals summarizePressure
+ *  of the source trace. */
+PressureSummary summarizePressure(const trace::BytecodeProgram &program);
 
 /** Summarize a captured trace: concrete pressure + cost bounds for a
  *  SparseCore replay under `config`. */

@@ -35,6 +35,13 @@ verdictBytes(const analysis::VerifyReport &report)
 }
 
 std::size_t
+pressureBytes(const analysis::PressureSummary &pressure)
+{
+    return sizeof(pressure) +
+           pressure.profile.size() * sizeof(analysis::PressurePoint);
+}
+
+std::size_t
 summaryBytes(const analysis::ProgramSummary &summary)
 {
     return sizeof(summary) +
@@ -76,7 +83,8 @@ ArtifactStore::ArtifactStore(std::size_t capacity_bytes)
     : traces_(capacity_bytes, cachedTraceBytes),
       programs_(capacity_bytes, programBytes),
       verdicts_(capacity_bytes, verdictBytes),
-      summaries_(capacity_bytes, summaryBytes)
+      summaries_(capacity_bytes, summaryBytes),
+      pressures_(capacity_bytes, pressureBytes)
 {
 }
 
@@ -164,6 +172,16 @@ ArtifactStore::summary(const std::string &trace_key,
     });
 }
 
+std::shared_ptr<const analysis::PressureSummary>
+ArtifactStore::pressure(const std::string &trace_key,
+                        const trace::Trace &tr)
+{
+    return pressures_.getOrBuild(pressureKey(trace_key), [&] {
+        return std::make_shared<const analysis::PressureSummary>(
+            analysis::summarizePressure(tr));
+    });
+}
+
 std::shared_ptr<const ArtifactStore::CachedTrace>
 ArtifactStore::peekTrace(const std::string &key)
 {
@@ -192,6 +210,7 @@ ArtifactStore::stats() const
     stats.traces = traces_.stats();
     stats.programs = programs_.stats();
     stats.verdicts = verdicts_.stats();
+    stats.pressures = pressures_.stats();
     return stats;
 }
 
@@ -202,6 +221,7 @@ ArtifactStore::clear()
     programs_.clear();
     verdicts_.clear();
     summaries_.clear();
+    pressures_.clear();
 }
 
 std::string
@@ -264,12 +284,19 @@ ArtifactStore::summaryKey(const std::string &trace_key,
                           const arch::SparseCoreConfig &config)
 {
     // Only the arch fields the cost model reads (JobSpec's arch
-    // overrides) key the summary; pressure is config-independent.
+    // overrides) key the summary; pressure is config-independent
+    // and has its own key (pressureKey).
     std::ostringstream os;
     os << trace_key << "/sum/su" << config.numSus << "w"
        << config.suWindow << "bw" << config.aggregateBandwidth
        << (config.nestedIntersection ? "n1" : "n0");
     return os.str();
+}
+
+std::string
+ArtifactStore::pressureKey(const std::string &trace_key)
+{
+    return trace_key + "/pressure";
 }
 
 } // namespace sc::api

@@ -11,6 +11,7 @@
  *   trace    gpm/<app>/g<graph fp>/s<root stride>[/c<chunk>of<n>]/tr<v>
  *            fsm/lg<labeled-graph fp>/sup<min support>/tr<v>
  *   program  <trace key>/scbc<v>[f]
+ *   pressure <trace key>/pressure
  *   graph    dataset key (+ label count), owned by graph/datasets
  *
  * A trace is a pure function of (workload, dataset content, root
@@ -58,6 +59,7 @@ struct ArtifactStoreStats
     CacheStats traces;
     CacheStats programs;
     CacheStats verdicts; ///< verified-bit cache (verdict())
+    CacheStats pressures; ///< admission pressure cache (pressure())
 
     /** One-line summary ("traces 3 hits / 1 miss | ..."). */
     std::string str() const;
@@ -132,12 +134,17 @@ class ArtifactStore
 
     /** Get-or-compute the quantitative summary (pressure profile +
      *  cost bounds) of a trace under `config` — at most once per
-     *  resident (trace_key, arch point). Admission control reads
-     *  maxPressure from here; scverify and the sweep tests share the
-     *  same cached numbers. */
+     *  resident (trace_key, arch point). scverify and the sweep tests
+     *  share the same cached numbers. */
     std::shared_ptr<const analysis::ProgramSummary>
     summary(const std::string &trace_key, const trace::Trace &tr,
             const arch::SparseCoreConfig &config);
+
+    /** Get-or-compute the config-free pressure of a trace — at most
+     *  once per resident trace, whatever arch points its jobs name.
+     *  Admission control reads maxPressure from here. */
+    std::shared_ptr<const analysis::PressureSummary>
+    pressure(const std::string &trace_key, const trace::Trace &tr);
 
     /** Resident-trace peek for admission-time checks: never captures,
      *  never counts a hit or miss (the smoke legs pin those). */
@@ -174,12 +181,14 @@ class ArtifactStore
                                   unsigned capacity);
     static std::string summaryKey(const std::string &trace_key,
                                   const arch::SparseCoreConfig &config);
+    static std::string pressureKey(const std::string &trace_key);
 
   private:
     LruCache<std::string, CachedTrace> traces_;
     LruCache<std::string, trace::BytecodeProgram> programs_;
     LruCache<std::string, analysis::VerifyReport> verdicts_;
     LruCache<std::string, analysis::ProgramSummary> summaries_;
+    LruCache<std::string, analysis::PressureSummary> pressures_;
 };
 
 } // namespace sc::api

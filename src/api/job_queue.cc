@@ -254,55 +254,51 @@ JobQueue::submit(JobSpec spec)
 
     // Admission-time verification, for jobs whose trace is already
     // resident in the store (a warm dataset): the cached verdict and
-    // pressure summary are cheap to consult here, so a program that
-    // breaks the stream-lifetime contract — or exceeds the arch
-    // limits the job itself declared — is rejected with structured
-    // JobDiags before it costs a scheduler slot. Cold jobs verify at
+    // pressure are cheap to consult here, so a program that breaks
+    // the stream-lifetime contract — or exceeds the arch limits the
+    // job itself declared — is rejected with structured JobDiags
+    // before it costs a scheduler slot. Pressure is a property of the
+    // trace alone, so one walk serves every arch point a sweep names;
+    // cost bounds are never computed here. Cold jobs verify at
     // execution exactly as before (the trace does not exist yet), and
     // jobs that declare no arch limits are never pressure-rejected.
-    if (!resolved.job->affinityKey.empty()) {
-        ArtifactStore &store = ArtifactStore::global();
-        if (const auto cached =
-                store.peekTrace(resolved.job->affinityKey)) {
-            const arch::SparseCoreConfig &cfg = resolved.job->config;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++verifyChecked_;
-            }
-            if (spec.options.verify.value_or(
-                    analysis::verifyByDefault())) {
-                const auto verdict =
-                    store.verdict(resolved.job->affinityKey,
-                                  cached->trace, cfg.numStreamRegs);
-                if (verdict->hasErrors()) {
-                    {
-                        std::lock_guard<std::mutex> lock(mutex_);
-                        ++verifyRejected_;
-                    }
-                    report.errors.push_back(
-                        {"program", verdict->format()});
-                    return reject(std::move(report));
+    const std::string &key = resolved.job->affinityKey;
+    ArtifactStore &store = ArtifactStore::global();
+    const auto cached = key.empty() ? nullptr : store.peekTrace(key);
+    if (cached) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++verifyChecked_;
+        }
+        if (spec.options.verify.value_or(analysis::verifyByDefault())) {
+            const auto verdict = store.verdict(
+                key, cached->trace, resolved.job->config.numStreamRegs);
+            if (verdict->hasErrors()) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    ++verifyRejected_;
                 }
+                report.errors.push_back({"program", verdict->format()});
+                return reject(std::move(report));
             }
-            if (spec.numSus) {
-                const auto summary = store.summary(
-                    resolved.job->affinityKey, cached->trace, cfg);
-                if (summary->maxPressure > *spec.numSus) {
-                    {
-                        std::lock_guard<std::mutex> lock(mutex_);
-                        ++pressureRejected_;
-                    }
-                    report.errors.push_back(
-                        {"arch.sus",
-                         strprintf("peak live-stream pressure %u "
-                                   "(first at event %llu) exceeds the "
-                                   "declared arch.sus budget of %u",
-                                   summary->maxPressure,
-                                   static_cast<unsigned long long>(
-                                       summary->maxPressurePc),
-                                   *spec.numSus)});
-                    return reject(std::move(report));
+        }
+        if (spec.numSus) {
+            const auto pressure = store.pressure(key, cached->trace);
+            if (pressure->maxPressure > *spec.numSus) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    ++pressureRejected_;
                 }
+                report.errors.push_back(
+                    {"arch.sus",
+                     strprintf("peak live-stream pressure %u (first at "
+                               "event %llu) exceeds the declared "
+                               "arch.sus budget of %u",
+                               pressure->maxPressure,
+                               static_cast<unsigned long long>(
+                                   pressure->maxPressurePc),
+                               *spec.numSus)});
+                return reject(std::move(report));
             }
         }
     }
@@ -321,9 +317,9 @@ JobQueue::submit(JobSpec spec)
         ++submitted_;
         ++pending_;
         seq = nextSeq_++;
-        dispatch_now =
-            sched_.admit(seq, pending.job->affinityKey,
-                         pending.job->spec.priority, admitted);
+        dispatch_now = sched_.admit(seq, pending.job->affinityKey,
+                                    pending.job->spec.priority, admitted,
+                                    cached != nullptr);
         if (!dispatch_now)
             held_.emplace(seq, std::move(pending));
     }

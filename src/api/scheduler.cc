@@ -59,7 +59,7 @@ JobScheduler::effectivePriority(const Held &held, TimePoint now) const
 
 bool
 JobScheduler::admit(std::uint64_t seq, const std::string &affinity,
-                    int priority, TimePoint now)
+                    int priority, TimePoint now, bool resident)
 {
     if (!affinity.empty())
         ++lanes_[affinity].jobs;
@@ -73,6 +73,8 @@ JobScheduler::admit(std::uint64_t seq, const std::string &affinity,
     const Held held{seq, priority, now, affinity};
     if (!affinity.empty()) {
         Lane &lane = lanes_[affinity];
+        if (lane.temp == Lane::Temp::Warm && !resident)
+            lane.temp = Lane::Temp::Cold; // store cleared or evicted
         if (lane.temp == Lane::Temp::Warming) {
             // A sibling is already producing this lane's artifacts;
             // piling in would only stack workers on the store's
@@ -107,10 +109,9 @@ JobScheduler::onComplete(std::uint64_t seq, TimePoint now)
         if (lane.temp == Lane::Temp::Warming && lane.warmer == seq) {
             // The warmer landed the trace + program (or failed; its
             // siblings would fail identically, so release them
-            // either way). The lane stays warm for its lifetime —
-            // artifacts are content-keyed and the store pins in-use
-            // entries, so a re-cold lane only costs one redundant
-            // capture, deduped by the store itself.
+            // either way). The lane stays warm until an admission
+            // finds its trace no longer resident (admit()'s
+            // `resident`), which sends it back to Cold.
             lane.temp = Lane::Temp::Warm;
             for (Held &held : lane.parked)
                 ready_.push_back(std::move(held));

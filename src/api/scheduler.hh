@@ -123,10 +123,13 @@ class JobScheduler
      *
      * `affinity` keys the lane ("" = no shared artifacts: the job
      * never parks and never warms a lane, but still counts against
-     * the slot cap).
+     * the slot cap). `resident` says whether the lane's trace is in
+     * the artifact store right now: a Warm lane whose trace was
+     * cleared or evicted goes back to Cold, so this job warms it
+     * again and its siblings park instead of blocking in the store.
      */
     bool admit(std::uint64_t seq, const std::string &affinity,
-               int priority, TimePoint now);
+               int priority, TimePoint now, bool resident = true);
 
     /**
      * A dispatched job finished. Returns the held seqs to dispatch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -20,8 +21,23 @@ Engine::Engine(const SparseCoreConfig &config)
       svpu_(config.valueLoadMlp),
       translator_(NestTranslatorParams{config.translationBufferSize, 1,
                                        config.valueLoadMlp}),
-      lengthHist_(4, 512)
+      lengthHist_(4, 512),
+      streamInstructions_(stats_.counter("streamInstructions")),
+      smtVirtualizationStalls_(stats_.counter("smtVirtualizationStalls")),
+      scratchpadStreamHits_(stats_.counter("scratchpadStreamHits")),
+      sread_(stats_.counter("sread")),
+      svread_(stats_.counter("svread")),
+      sfree_(stats_.counter("sfree")),
+      svinter_(stats_.counter("svinter")),
+      svmerge_(stats_.counter("svmerge")),
+      snestinter_(stats_.counter("snestinter")),
+      setOpElements_(stats_.counter("setOpElements")),
+      nestedIntersectOps_(stats_.counter("op.nestedIntersect"))
 {
+    for (std::size_t k = 0; k < streams::numSetOpKinds; ++k)
+        setOpKindOps_[k] = &stats_.counter(
+            std::string("op.") +
+            streams::setOpName(static_cast<SetOpKind>(k)));
     if (config.numSus == 0)
         fatal("SparseCore needs at least one SU");
     if (config.aggregateBandwidth == 0)
@@ -117,7 +133,7 @@ Engine::makeStream(Addr key_addr, Addr val_addr, std::uint32_t length,
                    unsigned priority, streams::KeySpan keys)
 {
     (void)keys;
-    ++stats_.counter("streamInstructions");
+    ++streamInstructions_;
     // The instruction itself plus the operand moves feeding it (the
     // paper's generated code marshals address/length/id/priority
     // into registers before each S_READ/S_VREAD, Fig. 3/4).
@@ -130,7 +146,7 @@ Engine::makeStream(Addr key_addr, Addr val_addr, std::uint32_t length,
         // §4.1 virtualization: spill an SMT entry to the special
         // memory region and retry; modeled as a fixed penalty.
         extra = config_.mem.l2Latency + config_.mem.l3Latency;
-        ++stats_.counter("smtVirtualizationStalls");
+        ++smtVirtualizationStalls_;
         smt_.spillOne();
         entry = smt_.define(streams_.size());
     }
@@ -146,7 +162,7 @@ Engine::makeStream(Addr key_addr, Addr val_addr, std::uint32_t length,
     if (priority > 0 && scratchpad_.lookup(key_addr)) {
         si.readyAt = issue + extra + config_.scratchpadLatency;
         si.memShare = 0.1;
-        ++stats_.counter("scratchpadStreamHits");
+        ++scratchpadStreamHits_;
     } else {
         const Cycles refill = scache_.allocate(
             si.smtIndex, key_addr, length, core_->mem());
@@ -170,7 +186,7 @@ StreamHandle
 Engine::streamRead(Addr key_addr, std::uint32_t length, unsigned priority,
                    streams::KeySpan keys)
 {
-    ++stats_.counter("sread");
+    ++sread_;
     return makeStream(key_addr, 0, length, priority, keys);
 }
 
@@ -178,7 +194,7 @@ StreamHandle
 Engine::streamReadKv(Addr key_addr, Addr val_addr, std::uint32_t length,
                      unsigned priority, streams::KeySpan keys)
 {
-    ++stats_.counter("svread");
+    ++svread_;
     return makeStream(key_addr, val_addr, length, priority, keys);
 }
 
@@ -189,8 +205,8 @@ Engine::streamFree(StreamHandle handle)
     if (si.freed)
         panic("double free of stream handle %u", handle);
     si.freed = true;
-    ++stats_.counter("sfree");
-    ++stats_.counter("streamInstructions");
+    ++sfree_;
+    ++streamInstructions_;
     scalarOps(1);
     smt_.decodeFree(handle);
     smt_.retireFree(si.smtIndex);
@@ -245,9 +261,8 @@ Engine::scheduleSetOp(SetOpKind kind, StreamHandle a, StreamHandle b,
 
     lengthHist_.sample(ak.size());
     lengthHist_.sample(bk.size());
-    stats_.counter("setOpElements") +=
-        cost.aConsumed + cost.bConsumed;
-    ++stats_.counter(std::string("op.") + streams::setOpName(kind));
+    setOpElements_ += cost.aConsumed + cost.bConsumed;
+    ++*setOpKindOps_[static_cast<std::size_t>(kind)];
     return completion;
 }
 
@@ -256,7 +271,7 @@ Engine::setOp(SetOpKind kind, StreamHandle a, StreamHandle b,
               streams::KeySpan ak, streams::KeySpan bk, Key bound,
               std::uint64_t result_len)
 {
-    ++stats_.counter("streamInstructions");
+    ++streamInstructions_;
     scalarOps(2); // instruction + operand moves
     double mem_share = 0.0;
     const Cycles completion =
@@ -266,7 +281,7 @@ Engine::setOp(SetOpKind kind, StreamHandle a, StreamHandle b,
     Cycles extra = 0;
     if (!entry) {
         extra = config_.mem.l2Latency + config_.mem.l3Latency;
-        ++stats_.counter("smtVirtualizationStalls");
+        ++smtVirtualizationStalls_;
         smt_.spillOne();
         entry = smt_.define(streams_.size());
     }
@@ -295,7 +310,7 @@ void
 Engine::setOpCount(SetOpKind kind, StreamHandle a, StreamHandle b,
                    streams::KeySpan ak, streams::KeySpan bk, Key bound)
 {
-    ++stats_.counter("streamInstructions");
+    ++streamInstructions_;
     scalarOps(2); // instruction + operand moves
     double mem_share = 0.0;
     const Cycles completion =
@@ -322,8 +337,8 @@ Engine::valueIntersect(StreamHandle a, StreamHandle b,
                        const std::vector<Addr> &match_val_addrs_a,
                        const std::vector<Addr> &match_val_addrs_b)
 {
-    ++stats_.counter("streamInstructions");
-    ++stats_.counter("svinter");
+    ++streamInstructions_;
+    ++svinter_;
     scalarOps(2);
     double mem_share = 0.0;
     const Cycles su_completion = scheduleSetOp(
@@ -345,7 +360,7 @@ Engine::valueMerge(StreamHandle a, StreamHandle b, streams::KeySpan ak,
                    streams::KeySpan bk, Addr a_val_base, Addr b_val_base,
                    std::uint64_t result_len)
 {
-    ++stats_.counter("svmerge");
+    ++svmerge_;
     // Value loads go through the load queue only for MEMORY-backed
     // operands (a_val_base/b_val_base nonzero): a produced stream's
     // values are already on chip and feed the SVPU directly, which is
@@ -393,8 +408,8 @@ void
 Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
                         const std::vector<NestedElem> &elems)
 {
-    ++stats_.counter("streamInstructions");
-    ++stats_.counter("snestinter");
+    ++streamInstructions_;
+    ++snestinter_;
     if (!config_.nestedIntersection)
         panic("S_NESTINTER issued with nested intersection disabled");
     scalarOps(1);
@@ -446,9 +461,8 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
         su->occupy(op_start, completion);
 
         lengthHist_.sample(elem.nested.size());
-        stats_.counter("setOpElements") +=
-            cost.aConsumed + cost.bConsumed;
-        ++stats_.counter("op.nestedIntersect");
+        setOpElements_ += cost.aConsumed + cost.bConsumed;
+        ++nestedIntersectOps_;
         // Memory is charged only for delay beyond SU availability
         // (nested prefetches overlap with earlier intersections).
         const Cycles data_ready = ready[i] + fetch;
@@ -481,7 +495,7 @@ Engine::fetchLoop(StreamHandle handle, std::uint64_t n,
     // invalidStream: a plain counted loop not backed by S_FETCH.
     waitFor(handle);
     if (handle != invalidStream)
-        stats_.counter("streamInstructions") += n; // S_FETCH each
+        streamInstructions_ += n; // S_FETCH each
     scalarOps(n * ops_per_element);
     // Loop-closing branch: taken n times, then falls through. These
     // are highly predictable; run them through the real predictor.

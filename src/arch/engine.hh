@@ -62,6 +62,10 @@ class Engine
     explicit Engine(const SparseCoreConfig &config = SparseCoreConfig{});
     ~Engine();
 
+    // Counter handles point into stats_: never copy an engine.
+    Engine(const Engine &) = delete;
+    Engine &operator=(const Engine &) = delete;
+
     // ------------- host scalar side -------------
     /** Charge n scalar ALU/addressing operations. */
     void scalarOps(std::uint64_t n);
@@ -142,7 +146,7 @@ class Engine
     /** Dynamic stream-instruction count (Table 1 opcodes). */
     std::uint64_t streamInstructions() const
     {
-        return stats_.get("streamInstructions");
+        return streamInstructions_.value();
     }
 
   private:
@@ -208,6 +212,21 @@ class Engine
 
     Histogram lengthHist_;
     StatSet stats_{"engine"};
+
+    // Hot counters resolved once in the constructor, so no event pays
+    // a string-keyed map lookup (or builds an "op.<kind>" key).
+    Counter &streamInstructions_;
+    Counter &smtVirtualizationStalls_;
+    Counter &scratchpadStreamHits_;
+    Counter &sread_;
+    Counter &svread_;
+    Counter &sfree_;
+    Counter &svinter_;
+    Counter &svmerge_;
+    Counter &snestinter_;
+    Counter &setOpElements_;
+    Counter &nestedIntersectOps_;
+    Counter *setOpKindOps_[streams::numSetOpKinds];
 };
 
 } // namespace sc::arch

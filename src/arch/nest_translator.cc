@@ -7,7 +7,8 @@
 namespace sc::arch {
 
 NestTranslator::NestTranslator(const NestTranslatorParams &params)
-    : params_(params)
+    : params_(params), elements_(stats_.counter("elements")),
+      instructions_(stats_.counter("instructions"))
 {
     if (params.bufferEntries == 0 || params.elementsPerCycle == 0 ||
         params.infoLoadMlp == 0) {
@@ -53,9 +54,9 @@ NestTranslator::translate(Cycles start,
         // entry is released at insertion (§4.6: ROB retirement and
         // refills release the space independently).
         drain[i] = translated;
-        ++stats_.counter("elements");
+        ++elements_;
     }
-    stats_.counter("instructions") += info_addrs.size() * 3 + 1;
+    instructions_ += info_addrs.size() * 3 + 1;
     return ready;
 }
 

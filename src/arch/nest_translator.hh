@@ -38,6 +38,9 @@ class NestTranslator
 {
   public:
     explicit NestTranslator(const NestTranslatorParams &params);
+    // Counter handles point into stats_: never copy one.
+    NestTranslator(const NestTranslator &) = delete;
+    NestTranslator &operator=(const NestTranslator &) = delete;
 
     /**
      * Expand one S_NESTINTER.
@@ -59,6 +62,8 @@ class NestTranslator
   private:
     NestTranslatorParams params_;
     StatSet stats_{"nest_translator"};
+    Counter &elements_;
+    Counter &instructions_;
 };
 
 } // namespace sc::arch

@@ -8,7 +8,12 @@ namespace sc::arch {
 
 SCache::SCache(unsigned num_slots, unsigned slot_keys,
                unsigned line_bytes)
-    : slots_(num_slots), slotKeys_(slot_keys), lineBytes_(line_bytes)
+    : slots_(num_slots), slotKeys_(slot_keys), lineBytes_(line_bytes),
+      allocs_(stats_.counter("allocs")),
+      refillLines_(stats_.counter("refillLines")),
+      producedAllocs_(stats_.counter("producedAllocs")),
+      prefetchLines_(stats_.counter("prefetchLines")),
+      writebackLines_(stats_.counter("writebackLines"))
 {
     if (num_slots == 0 || slot_keys < 2 || slot_keys % 2 != 0)
         fatal("S-Cache needs slots with an even number of keys");
@@ -26,7 +31,7 @@ SCache::allocate(unsigned slot, Addr key_addr, std::uint64_t num_keys,
     s.streamKeys = num_keys;
     s.residentFrom = 0;
     s.startBit = true;
-    ++stats_.counter("allocs");
+    ++allocs_;
 
     // First sub-slot: fetch its cache lines through L2. The fills
     // pipeline, so the latency to first use is the first line's
@@ -44,7 +49,7 @@ SCache::allocate(unsigned slot, Addr key_addr, std::uint64_t num_keys,
         const Cycles l = mem.l2Access(line * lineBytes_);
         latency = std::max(latency, l);
         ++line_count;
-        ++stats_.counter("refillLines");
+        ++refillLines_;
     }
     return latency + (line_count > 0 ? line_count - 1 : 0);
 }
@@ -59,7 +64,7 @@ SCache::allocateProduced(unsigned slot, std::uint64_t num_keys)
     s.residentFrom =
         num_keys > slotKeys_ ? num_keys - slotKeys_ : 0;
     s.startBit = num_keys <= slotKeys_;
-    ++stats_.counter("producedAllocs");
+    ++producedAllocs_;
 }
 
 void
@@ -75,7 +80,7 @@ SCache::prefetchRemainder(unsigned slot, sim::MemHierarchy &mem)
     for (Addr line = first / lineBytes_; line <= last / lineBytes_;
          ++line) {
         mem.l2Access(line * lineBytes_);
-        ++stats_.counter("prefetchLines");
+        ++prefetchLines_;
     }
 }
 
@@ -105,7 +110,7 @@ SCache::writebackProduced(unsigned slot, std::uint64_t total_keys,
     s.streamKeys = total_keys;
     s.residentFrom = spilled;
     s.startBit = false;
-    stats_.counter("writebackLines") += lines;
+    writebackLines_ += lines;
     return lines;
 }
 

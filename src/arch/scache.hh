@@ -42,6 +42,9 @@ class SCache
      * @param line_bytes cache line size of the backing L2
      */
     SCache(unsigned num_slots, unsigned slot_keys, unsigned line_bytes);
+    // Counter handles point into stats_: never copy one.
+    SCache(const SCache &) = delete;
+    SCache &operator=(const SCache &) = delete;
 
     /**
      * Begin fetching a memory-backed stream into a slot (S_READ).
@@ -98,6 +101,11 @@ class SCache
     unsigned slotKeys_;
     unsigned lineBytes_;
     StatSet stats_{"scache"};
+    Counter &allocs_;
+    Counter &refillLines_;
+    Counter &producedAllocs_;
+    Counter &prefetchLines_;
+    Counter &writebackLines_;
 };
 
 } // namespace sc::arch

@@ -5,7 +5,10 @@
 namespace sc::arch {
 
 Scratchpad::Scratchpad(std::uint64_t capacity_bytes)
-    : capacityKeys_(capacity_bytes / sizeof(Key))
+    : capacityKeys_(capacity_bytes / sizeof(Key)),
+      hits_(stats_.counter("hits")), misses_(stats_.counter("misses")),
+      inserts_(stats_.counter("inserts")),
+      evictions_(stats_.counter("evictions"))
 {
     if (capacityKeys_ == 0)
         fatal("scratchpad must hold at least one key");
@@ -16,11 +19,11 @@ Scratchpad::lookup(Addr key_addr)
 {
     auto it = index_.find(key_addr);
     if (it == index_.end()) {
-        ++stats_.counter("misses");
+        ++misses_;
         return false;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_.counter("hits");
+    ++hits_;
     return true;
 }
 
@@ -38,7 +41,7 @@ Scratchpad::insert(Addr key_addr, std::uint64_t num_keys)
     lru_.push_front({key_addr, num_keys});
     index_[key_addr] = lru_.begin();
     usedKeys_ += num_keys;
-    ++stats_.counter("inserts");
+    ++inserts_;
 }
 
 void
@@ -60,7 +63,7 @@ Scratchpad::evictFor(std::uint64_t needed_keys)
         usedKeys_ -= victim.keys;
         index_.erase(victim.addr);
         lru_.pop_back();
-        ++stats_.counter("evictions");
+        ++evictions_;
     }
 }
 

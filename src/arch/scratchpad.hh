@@ -24,6 +24,9 @@ class Scratchpad
   public:
     /** @param capacity_bytes total size; keys are 4 bytes each. */
     explicit Scratchpad(std::uint64_t capacity_bytes);
+    // Counter handles point into stats_: never copy one.
+    Scratchpad(const Scratchpad &) = delete;
+    Scratchpad &operator=(const Scratchpad &) = delete;
 
     /**
      * Look up a stream by base address; on hit the entry is touched.
@@ -42,8 +45,8 @@ class Scratchpad
 
     std::uint64_t capacityKeys() const { return capacityKeys_; }
     std::uint64_t usedKeys() const { return usedKeys_; }
-    std::uint64_t hits() const { return stats_.get("hits"); }
-    std::uint64_t missesOrAbsent() const { return stats_.get("misses"); }
+    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t missesOrAbsent() const { return misses_.value(); }
     const StatSet &stats() const { return stats_; }
 
   private:
@@ -60,6 +63,10 @@ class Scratchpad
     std::list<Entry> lru_; // front = most recent
     std::unordered_map<Addr, std::list<Entry>::iterator> index_;
     StatSet stats_{"scratchpad"};
+    Counter &hits_;
+    Counter &misses_;
+    Counter &inserts_;
+    Counter &evictions_;
 };
 
 } // namespace sc::arch

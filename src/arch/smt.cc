@@ -4,7 +4,11 @@
 
 namespace sc::arch {
 
-Smt::Smt(unsigned num_entries) : entries_(num_entries)
+Smt::Smt(unsigned num_entries)
+    : entries_(num_entries), defines_(stats_.counter("defines")),
+      redefines_(stats_.counter("redefines")),
+      allocStalls_(stats_.counter("allocStalls")),
+      frees_(stats_.counter("frees")), spills_(stats_.counter("spills"))
 {
     if (num_entries == 0)
         fatal("SMT requires at least one entry");
@@ -21,7 +25,7 @@ Smt::define(std::uint64_t sid)
         SmtEntry &e = entries_[it->second];
         e.start = e.produced = false;
         e.pred0 = e.pred1 = noPred;
-        ++stats_.counter("redefines");
+        ++redefines_;
         return it->second;
     }
     for (unsigned i = 0; i < entries_.size(); ++i) {
@@ -32,11 +36,11 @@ Smt::define(std::uint64_t sid)
             e.start = e.produced = false;
             e.pred0 = e.pred1 = noPred;
             defined_[sid] = i;
-            ++stats_.counter("defines");
+            ++defines_;
             return i;
         }
     }
-    ++stats_.counter("allocStalls");
+    ++allocStalls_;
     return std::nullopt;
 }
 
@@ -49,7 +53,7 @@ Smt::decodeFree(std::uint64_t sid)
               static_cast<unsigned long long>(sid));
     entries_[it->second].vd = false;
     defined_.erase(it);
-    ++stats_.counter("frees");
+    ++frees_;
 }
 
 void
@@ -71,7 +75,7 @@ Smt::spillOne()
                 defined_.erase(entries_[i].sid);
             entries_[i].va = false;
             entries_[i].vd = false;
-            ++stats_.counter("spills");
+            ++spills_;
             return i;
         }
     }

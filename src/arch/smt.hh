@@ -47,6 +47,9 @@ class Smt
 {
   public:
     explicit Smt(unsigned num_entries);
+    // Counter handles point into stats_: never copy one.
+    Smt(const Smt &) = delete;
+    Smt &operator=(const Smt &) = delete;
 
     /**
      * Decode of S_READ/S_VREAD/S_INTER-output: map sid to a register.
@@ -88,6 +91,11 @@ class Smt
     std::vector<SmtEntry> entries_;
     std::unordered_map<std::uint64_t, unsigned> defined_; // sid -> idx
     StatSet stats_{"smt"};
+    Counter &defines_;
+    Counter &redefines_;
+    Counter &allocStalls_;
+    Counter &frees_;
+    Counter &spills_;
 };
 
 } // namespace sc::arch

@@ -7,7 +7,9 @@
 namespace sc::arch {
 
 Svpu::Svpu(unsigned mlp, unsigned fp_ops_per_cycle)
-    : mlp_(mlp), fpOpsPerCycle_(fp_ops_per_cycle)
+    : mlp_(mlp), fpOpsPerCycle_(fp_ops_per_cycle),
+      loads_(stats_.counter("loads")), flops_(stats_.counter("flops")),
+      cycles_(stats_.counter("cycles"))
 {
     if (mlp == 0 || fp_ops_per_cycle == 0)
         fatal("SVPU parameters must be positive");
@@ -35,9 +37,9 @@ Svpu::process(const std::vector<Addr> &match_val_addrs_a,
     const Cycles fp_time =
         (cost.flops + fpOpsPerCycle_ - 1) / fpOpsPerCycle_;
     cost.cycles = std::max(load_time, fp_time);
-    stats_.counter("loads") += cost.loads;
-    stats_.counter("flops") += cost.flops;
-    stats_.counter("cycles") += cost.cycles;
+    loads_ += cost.loads;
+    flops_ += cost.flops;
+    cycles_ += cost.cycles;
     return cost;
 }
 

@@ -36,6 +36,9 @@ class Svpu
      * @param fp_ops_per_cycle SVPU reduction throughput
      */
     Svpu(unsigned mlp, unsigned fp_ops_per_cycle = 1);
+    // Counter handles point into stats_: never copy one.
+    Svpu(const Svpu &) = delete;
+    Svpu &operator=(const Svpu &) = delete;
 
     /**
      * Cost of fetching and combining values for n matched keys.
@@ -55,6 +58,9 @@ class Svpu
     unsigned mlp_;
     unsigned fpOpsPerCycle_;
     StatSet stats_{"svpu"};
+    Counter &loads_;
+    Counter &flops_;
+    Counter &cycles_;
 };
 
 } // namespace sc::arch

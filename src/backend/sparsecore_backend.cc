@@ -3,13 +3,17 @@
 namespace sc::backend {
 
 SparseCoreBackend::SparseCoreBackend(const arch::SparseCoreConfig &config)
-    : config_(config), engine_(std::make_unique<arch::Engine>(config))
+    : config_(config)
 {
 }
 
 void
 SparseCoreBackend::begin()
 {
+    // The engine owns a whole cache hierarchy, so it is built here
+    // only, once per replay; dropping the old one first keeps two
+    // hierarchies from ever coexisting.
+    engine_.reset();
     engine_ = std::make_unique<arch::Engine>(config_);
 }
 

@@ -15,7 +15,8 @@
 namespace sc::backend {
 
 /** The SparseCore substrate. Final so the bytecode replay loop's
- *  per-backend instantiation devirtualizes every call. */
+ *  per-backend instantiation devirtualizes every call. The engine is
+ *  built by begin(), which must precede every other hook. */
 class SparseCoreBackend final : public ExecBackend
 {
   public:
@@ -63,7 +64,7 @@ class SparseCoreBackend final : public ExecBackend
     caps() const override
     {
         Caps c;
-        c.nested = engine_->config().nestedIntersection;
+        c.nested = config_.nestedIntersection;
         c.vectorizedSetOps = true; // the SU's 16-wide window (Fig. 6)
         return c;
     }

@@ -1,5 +1,7 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace sc::sim {
@@ -15,7 +17,7 @@ isPowerOfTwo(std::uint64_t v)
 } // namespace
 
 Cache::Cache(const CacheParams &params)
-    : params_(params), stats_(params.name)
+    : params_(params)
 {
     if (params_.lineBytes == 0 || !isPowerOfTwo(params_.lineBytes))
         fatal("cache %s: line size must be a power of two",
@@ -30,55 +32,23 @@ Cache::Cache(const CacheParams &params)
               params_.ways);
     numSets_ = static_cast<std::uint32_t>(lines / params_.ways);
     setsArePow2_ = isPowerOfTwo(numSets_);
-    ways_.resize(static_cast<std::size_t>(numSets_) * params_.ways);
-}
-
-bool
-Cache::access(Addr addr)
-{
-    const Addr line = lineAddr(addr);
-    const std::uint32_t set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set) * params_.ways];
-    ++useClock_;
-
-    Way *victim = base;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            way.lastUse = useClock_;
-            ++stats_.counter("hits");
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
-    }
-    victim->valid = true;
-    victim->tag = line;
-    victim->lastUse = useClock_;
-    ++stats_.counter("misses");
-    return false;
+    tags_.assign(static_cast<std::size_t>(numSets_) * params_.ways, 0);
 }
 
 bool
 Cache::contains(Addr addr) const
 {
     const Addr line = lineAddr(addr);
-    const std::uint32_t set = setIndex(line);
-    const Way *base = &ways_[static_cast<std::size_t>(set) * params_.ways];
-    for (std::uint32_t w = 0; w < params_.ways; ++w)
-        if (base[w].valid && base[w].tag == line)
-            return true;
-    return false;
+    const Addr *set = &tags_[static_cast<std::size_t>(setIndex(line)) *
+                             params_.ways];
+    return std::find(set, set + params_.ways, line + 1) !=
+           set + params_.ways;
 }
 
 void
 Cache::flush()
 {
-    for (auto &way : ways_)
-        way.valid = false;
+    std::fill(tags_.begin(), tags_.end(), 0);
 }
 
 } // namespace sc::sim

@@ -5,16 +5,23 @@
  * This is a functional tag array: it answers hit/miss per access and
  * tracks occupancy; timing (latency composition across levels) is done
  * by MemHierarchy. Matches the zSim-style modeling the paper relies on.
+ *
+ * Each way is one packed Addr (`line + 1`, 0 = invalid) and each set
+ * is kept in MRU order: a hit rotates its way to the front, a miss
+ * shifts the set down one way (dropping the last, i.e. the LRU or an
+ * invalid way) and installs at the front. Valid ways therefore always
+ * form a prefix of the set, and hit/miss behaviour is exactly that of
+ * true LRU with per-way use stamps, at 8 bytes per way.
  */
 
 #ifndef SPARSECORE_SIM_CACHE_HH
 #define SPARSECORE_SIM_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace sc::sim {
@@ -50,19 +57,11 @@ class Cache
     const CacheParams &params() const { return params_; }
     std::uint32_t numSets() const { return numSets_; }
 
-    std::uint64_t hits() const { return stats_.get("hits"); }
-    std::uint64_t misses() const { return stats_.get("misses"); }
-    const StatSet &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    void resetStats() { hits_ = misses_ = 0; }
 
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
-
     Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
 
     /** Set index; power-of-two set counts use the fast mask path. */
@@ -76,10 +75,34 @@ class Cache
     CacheParams params_;
     std::uint32_t numSets_;
     bool setsArePow2_ = true;
-    std::vector<Way> ways_; // numSets_ x params_.ways, row-major
-    std::uint64_t useClock_ = 0;
-    StatSet stats_;
+    /** numSets_ x params_.ways, row-major; each set MRU first. */
+    std::vector<Addr> tags_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
 };
+
+inline bool
+Cache::access(Addr addr)
+{
+    const Addr line = lineAddr(addr);
+    const Addr tag = line + 1;
+    Addr *set = &tags_[static_cast<std::size_t>(setIndex(line)) *
+                       params_.ways];
+    Addr *const end = set + params_.ways;
+    // Valid ways are a prefix, so the first 0 ends the search.
+    Addr *way = set;
+    while (way != end && *way != tag && *way != 0)
+        ++way;
+    const bool hit = way != end && *way == tag;
+    // Shift the ways in front of the hit (or of the first invalid
+    // way; of the LRU way when the set is full) down by one and
+    // install at the front.
+    Addr *const last = way != end ? way : end - 1;
+    std::copy_backward(set, last, last + 1);
+    *set = tag;
+    ++(hit ? hits_ : misses_);
+    return hit;
+}
 
 } // namespace sc::sim
 

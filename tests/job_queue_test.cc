@@ -499,6 +499,77 @@ TEST(JobQueue, AdmissionAdmitsUndeclaredJobsAndCachesVerdicts)
     EXPECT_NE(dumped.find("\"verdict_hits\""), std::string::npos);
 }
 
+TEST(JobQueue, AdmissionComputesPressureOncePerTrace)
+{
+    // Pressure is a property of the trace, not of the arch point: a
+    // fig12-style SU ladder of declared arch.sus budgets over one
+    // warm trace walks it once (1 miss) and reads the cached result
+    // at every other admission (N-1 hits), rejected or not.
+    api::ArtifactStore &store = api::ArtifactStore::global();
+    store.clear();
+    JobQueue queue(1);
+    const std::string job =
+        R"({"version":1,"workload":"gpm","app":"TC","dataset":"W",)"
+        R"("mode":"run","substrate":"sparsecore")";
+    EXPECT_TRUE(queue.submitJson(job + "}").get().ok);
+
+    const std::vector<unsigned> ladder = {1, 2, 4, 8, 16};
+    const api::ArtifactStoreStats before = store.stats();
+    std::vector<bool> admitted;
+    for (const unsigned sus : ladder)
+        admitted.push_back(
+            queue
+                .submitJson(job + R"(,"arch":{"sus":)" +
+                            std::to_string(sus) + "}}")
+                .get()
+                .ok);
+    const api::ArtifactStoreStats after = store.stats();
+    EXPECT_EQ(after.pressures.misses - before.pressures.misses, 1u);
+    EXPECT_EQ(after.pressures.hits - before.pressures.hits,
+              ladder.size() - 1);
+
+    const auto parsed = api::parseJobSpec(job + "}");
+    ASSERT_TRUE(parsed.ok());
+    const auto resolved = api::resolveJob(*parsed.spec);
+    ASSERT_TRUE(resolved.ok());
+    const std::string &key = resolved.job->affinityKey;
+    const auto cached = store.peekTrace(key);
+    ASSERT_TRUE(cached);
+    const unsigned pressure =
+        store.pressure(key, cached->trace)->maxPressure;
+    EXPECT_GT(pressure, 1u);
+    for (std::size_t i = 0; i < ladder.size(); ++i)
+        EXPECT_EQ(admitted[i], ladder[i] >= pressure)
+            << "arch.sus " << ladder[i];
+}
+
+TEST(JobQueue, ClearedStoreRewarmsLaneAndParksSiblings)
+{
+    // A long-lived queue whose store is cleared under it: the lane it
+    // warmed earlier goes back to Cold at the next admission, so that
+    // job re-warms it and its siblings park behind it instead of
+    // blocking in the store's in-flight dedup.
+    api::ArtifactStore &store = api::ArtifactStore::global();
+    store.clear();
+    JobQueue queue(2, sc::api::SchedPolicy::Affinity);
+    const std::string job =
+        R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})";
+    EXPECT_TRUE(queue.submitJson(job).get().ok);
+
+    store.clear();
+    std::vector<std::future<JobReport>> futures;
+    for (int i = 0; i < 4; ++i)
+        futures.push_back(queue.submitJson(job));
+    for (auto &f : futures)
+        EXPECT_TRUE(f.get().ok);
+
+    const api::JobQueueStats stats = queue.stats();
+    EXPECT_EQ(stats.scheduler.warmers, 2u);
+    EXPECT_EQ(stats.scheduler.convoyAvoided, 3u);
+    EXPECT_EQ(stats.traceWaits, 0u);
+    EXPECT_EQ(stats.programWaits, 0u);
+}
+
 TEST(JobQueue, VerificationCachingKeepsResultsBitIdentical)
 {
     // The acceptance invariant: results and cycles must be

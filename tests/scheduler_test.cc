@@ -84,6 +84,34 @@ TEST(Scheduler, ColdLaneGetsOneWarmerAndParksSiblings)
     EXPECT_EQ(sched.stats().parked, 0u);
 }
 
+TEST(Scheduler, WarmLaneWhoseTraceIsGoneRecoolsAndParksSiblings)
+{
+    JobScheduler sched(SchedPolicy::Affinity, 4);
+    EXPECT_TRUE(sched.admit(0, "laneA", 0, at(0), false));
+    EXPECT_TRUE(sched.onComplete(0, at(1)).empty());
+    // Warm and still resident: dispatched without a new warmer.
+    EXPECT_TRUE(sched.admit(1, "laneA", 0, at(2), true));
+    EXPECT_TRUE(sched.onComplete(1, at(3)).empty());
+    EXPECT_EQ(sched.stats().warmers, 1u);
+
+    // The store dropped the trace (clear() or LRU eviction): the next
+    // job re-warms the lane and its siblings park behind it instead
+    // of blocking inside the store.
+    EXPECT_TRUE(sched.admit(2, "laneA", 0, at(4), false));
+    EXPECT_FALSE(sched.admit(3, "laneA", 0, at(4), false));
+    EXPECT_FALSE(sched.admit(4, "laneA", 0, at(4), true));
+    api::SchedulerStats stats = sched.stats();
+    EXPECT_EQ(stats.warmers, 2u);
+    EXPECT_EQ(stats.parked, 2u);
+    EXPECT_EQ(stats.inflight, 1u);
+
+    const auto released = sched.onComplete(2, at(5));
+    EXPECT_EQ(released, (std::vector<std::uint64_t>{3, 4}));
+    stats = sched.stats();
+    EXPECT_EQ(stats.parked, 0u);
+    EXPECT_EQ(stats.inflight, 2u);
+}
+
 TEST(Scheduler, DistinctLanesSpreadAcrossSlots)
 {
     JobScheduler sched(SchedPolicy::Affinity, 4);

@@ -228,6 +228,67 @@ TEST(CostBounds, ChunkedParallelTracesBracketAndVerifyClean)
 
 namespace {
 
+/** The config-free pressure walk must report exactly the pressure
+ *  half of summarizeTrace / summarizeBytecode at every point of the
+ *  fig12 SU ladder. */
+void
+expectPressureMatchesSummaries(const trace::Trace &tr,
+                               const std::string &label)
+{
+    const trace::BytecodeProgram bc = trace::compileTrace(tr);
+    const analysis::PressureSummary walk = analysis::summarizePressure(tr);
+    const analysis::PressureSummary walk_bc =
+        analysis::summarizePressure(bc);
+    const auto expectSame = [&](const analysis::PressureSummary &s,
+                                const std::string &what) {
+        EXPECT_EQ(s.maxPressure, walk.maxPressure) << label << what;
+        EXPECT_EQ(s.maxPressurePc, walk.maxPressurePc) << label << what;
+        EXPECT_EQ(s.profile, walk.profile) << label << what;
+        EXPECT_EQ(s.points, walk.points) << label << what;
+        EXPECT_EQ(s.defines, walk.defines) << label << what;
+        EXPECT_EQ(s.frees, walk.frees) << label << what;
+    };
+    expectSame(walk_bc, ": SCBC pressure walk");
+    for (const unsigned sus : {1u, 2u, 4u, 8u, 16u}) {
+        arch::SparseCoreConfig config;
+        config.numSus = sus;
+        const std::string at = " at " + std::to_string(sus) + " SUs";
+        expectSame(analysis::summarizeTrace(tr, config),
+                   ": summarizeTrace" + at);
+        expectSame(analysis::summarizeBytecode(bc, config),
+                   ": summarizeBytecode" + at);
+    }
+}
+
+} // namespace
+
+TEST(Pressure, ConfigFreeWalkMatchesSummariesOnGpmApps)
+{
+    const auto g = test::randomTestGraph(100, 700, 5);
+    for (const gpm::GpmApp app : gpm::allGpmApps()) {
+        trace::TraceRecorder rec;
+        gpm::PlanExecutor executor(g, rec);
+        executor.runMany(gpm::gpmAppPlans(app));
+        expectPressureMatchesSummaries(
+            rec.takeTrace(), std::string("gpm ") + gpm::gpmAppName(app));
+    }
+}
+
+TEST(Pressure, ConfigFreeWalkMatchesSummariesOnFsm)
+{
+    auto base = test::randomTestGraph(60, 350, 13);
+    std::vector<graph::Label> labels(base.numVertices());
+    for (VertexId v = 0; v < base.numVertices(); ++v)
+        labels[v] = static_cast<graph::Label>(v % 3);
+    const graph::LabeledGraph lg(std::move(base), labels);
+
+    trace::TraceRecorder rec;
+    gpm::runFsm(lg, rec, 2);
+    expectPressureMatchesSummaries(rec.takeTrace(), "fsm");
+}
+
+namespace {
+
 const char *const kThreeStreamProgram = R"(
 LI r1, 4096
 LI r2, 8

@@ -70,6 +70,15 @@ struct GoldenCase
     std::uint64_t pc;
 };
 
+// gtest's fallback printer dumps the raw bytes (pointer, padding),
+// which would put an ASLR-dependent address into the test names that
+// ctest discovers; print the fields instead so the names are stable.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.file << " " << analysis::ruleId(c.rule) << " @ pc " << c.pc;
+}
+
 class GoldenDiagnostics : public ::testing::TestWithParam<GoldenCase>
 {
 };

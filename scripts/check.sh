@@ -105,7 +105,7 @@ echo "=== TSan build + parallel suites ==="
 cmake -B "${prefix}-tsan" -S . -DSPARSECORE_SANITIZE=thread >/dev/null
 cmake --build "${prefix}-tsan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-tsan/tests/sparsecore_tests" \
-    --gtest_filter='ThreadPool.*:HostParallel.*:Parallel.*:Machine*.*:LruCache.*:ArtifactStore.*:JobQueue.*:Scheduler.*'
+    --gtest_filter='ThreadPool.*:HostParallel.*:Parallel.*:Machine*.*:LruCache.*:ArtifactStore.*:JobQueue.*:Scheduler.*:SuCostTable.*'
 
 echo
 echo "=== ASan+UBSan build + trace/replay suites ==="
@@ -113,7 +113,7 @@ cmake -B "${prefix}-asan" -S . \
     -DSPARSECORE_SANITIZE=address,undefined >/dev/null
 cmake --build "${prefix}-asan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-asan/tests/sparsecore_tests" \
-    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ArtifactStore.*:LruCache.*'
+    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ArtifactStore.*:LruCache.*:SuCostTable.*:CpuBackend.*:CoreModel.*'
 
 echo
 echo "=== forced-scalar kernel build + full ctest ==="

@@ -48,6 +48,12 @@ summaryBytes(const analysis::ProgramSummary &summary)
            summary.profile.size() * sizeof(analysis::PressurePoint);
 }
 
+std::size_t
+suCostBytes(const streams::SuCostTable &table)
+{
+    return table.memoryBytes();
+}
+
 void
 appendCounters(std::ostringstream &os, const char *name,
                const CacheStats &stats)
@@ -60,6 +66,14 @@ appendCounters(std::ostringstream &os, const char *name,
 
 } // namespace
 
+std::size_t
+ArtifactStoreStats::residentBytes() const
+{
+    return graphs.bytes + labeledGraphs.bytes + traces.bytes +
+           programs.bytes + verdicts.bytes + summaries.bytes +
+           pressures.bytes + suCosts.bytes;
+}
+
 std::string
 ArtifactStoreStats::str() const
 {
@@ -67,15 +81,20 @@ ArtifactStoreStats::str() const
     os << "artifact store: ";
     appendCounters(os, "graphs", graphs);
     os << " | ";
+    appendCounters(os, "labeled graphs", labeledGraphs);
+    os << " | ";
     appendCounters(os, "traces", traces);
     os << " | ";
     appendCounters(os, "programs", programs);
     os << " | ";
     appendCounters(os, "verdicts", verdicts);
-    os << " | resident "
-       << (graphs.bytes + labeledGraphs.bytes + traces.bytes +
-           programs.bytes + verdicts.bytes)
-       << " bytes";
+    os << " | ";
+    appendCounters(os, "summaries", summaries);
+    os << " | ";
+    appendCounters(os, "pressures", pressures);
+    os << " | ";
+    appendCounters(os, "sucosts", suCosts);
+    os << " | resident " << residentBytes() << " bytes";
     return os.str();
 }
 
@@ -84,7 +103,8 @@ ArtifactStore::ArtifactStore(std::size_t capacity_bytes)
       programs_(capacity_bytes, programBytes),
       verdicts_(capacity_bytes, verdictBytes),
       summaries_(capacity_bytes, summaryBytes),
-      pressures_(capacity_bytes, pressureBytes)
+      pressures_(capacity_bytes, pressureBytes),
+      suCosts_(capacity_bytes, suCostBytes)
 {
 }
 
@@ -182,6 +202,17 @@ ArtifactStore::pressure(const std::string &trace_key,
     });
 }
 
+std::shared_ptr<const streams::SuCostTable>
+ArtifactStore::suCosts(const std::string &trace_key,
+                       const trace::BytecodeProgram &program,
+                       unsigned width)
+{
+    return suCosts_.getOrBuild(suCostKey(trace_key, width), [&] {
+        return std::make_shared<const streams::SuCostTable>(
+            trace::suCostTable(program, width));
+    });
+}
+
 std::shared_ptr<const ArtifactStore::CachedTrace>
 ArtifactStore::peekTrace(const std::string &key)
 {
@@ -210,7 +241,9 @@ ArtifactStore::stats() const
     stats.traces = traces_.stats();
     stats.programs = programs_.stats();
     stats.verdicts = verdicts_.stats();
+    stats.summaries = summaries_.stats();
     stats.pressures = pressures_.stats();
+    stats.suCosts = suCosts_.stats();
     return stats;
 }
 
@@ -222,6 +255,7 @@ ArtifactStore::clear()
     verdicts_.clear();
     summaries_.clear();
     pressures_.clear();
+    suCosts_.clear();
 }
 
 std::string
@@ -297,6 +331,12 @@ std::string
 ArtifactStore::pressureKey(const std::string &trace_key)
 {
     return trace_key + "/pressure";
+}
+
+std::string
+ArtifactStore::suCostKey(const std::string &trace_key, unsigned width)
+{
+    return programKey(trace_key) + "/sucost/w" + std::to_string(width);
 }
 
 } // namespace sc::api

@@ -12,6 +12,7 @@
  *            fsm/lg<labeled-graph fp>/sup<min support>/tr<v>
  *   program  <trace key>/scbc<v>[f]
  *   pressure <trace key>/pressure
+ *   sucost   <program key>/sucost/w<SU window>
  *   graph    dataset key (+ label count), owned by graph/datasets
  *
  * A trace is a pure function of (workload, dataset content, root
@@ -48,6 +49,7 @@
 #include "graph/datasets.hh"
 #include "trace/compile.hh"
 #include "trace/recorder.hh"
+#include "trace/su_cost_table.hh"
 
 namespace sc::api {
 
@@ -59,9 +61,14 @@ struct ArtifactStoreStats
     CacheStats traces;
     CacheStats programs;
     CacheStats verdicts; ///< verified-bit cache (verdict())
+    CacheStats summaries; ///< cost-bound summary cache (summary())
     CacheStats pressures; ///< admission pressure cache (pressure())
+    CacheStats suCosts;   ///< SU-cost table cache (suCosts())
 
-    /** One-line summary ("traces 3 hits / 1 miss | ..."). */
+    /** Bytes resident across every cache above. */
+    std::size_t residentBytes() const;
+    /** One-line summary naming every cache ("traces 3 hits / 1
+     *  misses | ... | resident N bytes"). */
     std::string str() const;
 };
 
@@ -146,6 +153,18 @@ class ArtifactStore
     std::shared_ptr<const analysis::PressureSummary>
     pressure(const std::string &trace_key, const trace::Trace &tr);
 
+    /**
+     * Get-or-build the SU-cost table (trace::suCostTable) of the
+     * program compiled from `trace_key`'s trace, at comparator window
+     * `width` — at most once per resident (program, window), however
+     * many arch points replay it. Store-backed replays onto SparseCore
+     * hand it to SparseCoreBackend; cycles are bit-identical to
+     * computing every cost during the replay.
+     */
+    std::shared_ptr<const streams::SuCostTable>
+    suCosts(const std::string &trace_key,
+            const trace::BytecodeProgram &program, unsigned width);
+
     /** Resident-trace peek for admission-time checks: never captures,
      *  never counts a hit or miss (the smoke legs pin those). */
     std::shared_ptr<const CachedTrace>
@@ -159,7 +178,7 @@ class ArtifactStore
                  std::uint32_t num_labels = 8) const;
 
     ArtifactStoreStats stats() const;
-    /** Drop resident traces/programs (graph registry untouched). */
+    /** Drop every resident artifact but the graph registry. */
     void clear();
 
     // ---------------- key scheme ----------------
@@ -182,6 +201,8 @@ class ArtifactStore
     static std::string summaryKey(const std::string &trace_key,
                                   const arch::SparseCoreConfig &config);
     static std::string pressureKey(const std::string &trace_key);
+    static std::string suCostKey(const std::string &trace_key,
+                                 unsigned width);
 
   private:
     LruCache<std::string, CachedTrace> traces_;
@@ -189,6 +210,7 @@ class ArtifactStore
     LruCache<std::string, analysis::VerifyReport> verdicts_;
     LruCache<std::string, analysis::ProgramSummary> summaries_;
     LruCache<std::string, analysis::PressureSummary> pressures_;
+    LruCache<std::string, streams::SuCostTable> suCosts_;
 };
 
 } // namespace sc::api

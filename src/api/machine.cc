@@ -252,9 +252,10 @@ compareViaTrace(const arch::SparseCoreConfig &config, ThreadPool &pool,
 
 /**
  * The store-backed comparison core: the trace (and in Bytecode mode
- * the compiled program) comes out of the shared ArtifactStore, so a
- * sweep of compare() calls over one (app, dataset) captures and
- * compiles exactly once. Issues the identical replay calls as
+ * the compiled program and its SU-cost table) comes out of the shared
+ * ArtifactStore, so a sweep of compare() calls over one (app,
+ * dataset) captures and compiles exactly once, and computes SU costs
+ * once per SU window. Issues the identical replay calls as
  * compareViaTrace — cycles are bit-identical either way.
  */
 Comparison
@@ -291,7 +292,9 @@ compareViaStore(const arch::SparseCoreConfig &config, ThreadPool &pool,
                 cpu = trace::replayCompiled(*bc, be, /*verify=*/false);
             },
             [&] {
-                backend::SparseCoreBackend be(config);
+                backend::SparseCoreBackend be(
+                    config, ArtifactStore::global().suCosts(
+                                key, *bc, config.suWindow));
                 sc = trace::replayCompiled(*bc, be, /*verify=*/false);
             });
     } else {
@@ -383,7 +386,9 @@ Machine::run(const RunRequest &request, Substrate substrate) const
                 backend::CpuBackend be(config_.core, config_.mem);
                 rep = trace::replayCompiled(*bc, be, false);
             } else {
-                backend::SparseCoreBackend be(config_);
+                backend::SparseCoreBackend be(
+                    config_, ArtifactStore::global().suCosts(
+                                 key, *bc, config_.suWindow));
                 rep = trace::replayCompiled(*bc, be, false);
             }
         } else if (substrate == Substrate::Cpu) {

@@ -52,6 +52,13 @@ captureChunk(const std::vector<gpm::MiningPlan> &plans,
     return executor.runMany(plans);
 }
 
+/**
+ * The host-parallel miner shared by both substrates.
+ * make_backend(key, bc) builds one chunk's backend: on the
+ * store-backed bytecode path `bc` is the chunk's stored program and
+ * `key` its trace key (so SparseCore can attach the store's SU-cost
+ * table); elsewhere `bc` is null.
+ */
 template <typename MakeBackend>
 ParallelGpmResult
 mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
@@ -101,12 +108,13 @@ mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
                                    num_chunks, root_stride, recorder)
                             .embeddings;
                     });
-                auto backend = make_backend();
                 trace::ReplayResult rep;
                 if (mode == trace::ReplayMode::Bytecode) {
                     const auto bc = store.program(key, cached->trace);
+                    auto backend = make_backend(key, bc.get());
                     rep = trace::replayCompiled(*bc, *backend, false);
                 } else {
+                    auto backend = make_backend(key, nullptr);
                     rep = trace::replay(cached->trace, *backend,
                                         std::nullopt,
                                         trace::ReplayMode::Event);
@@ -118,7 +126,7 @@ mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
                 captureChunk(plans, g, static_cast<unsigned>(chunk),
                              num_chunks, root_stride, recorder);
             const trace::Trace tr = recorder.takeTrace();
-            auto backend = make_backend();
+            auto backend = make_backend(std::string{}, nullptr);
             const auto rep =
                 trace::replay(tr, *backend, std::nullopt, mode);
             return ChunkRun{run.embeddings, rep.cycles};
@@ -145,9 +153,14 @@ mineParallelSparseCore(gpm::GpmApp app, const graph::CsrGraph &g,
                        const arch::SparseCoreConfig &config,
                        unsigned root_stride, const HostOptions &host)
 {
-    return mineParallel(app, g, num_cores, root_stride, host, [&] {
-        return std::make_unique<backend::SparseCoreBackend>(config);
-    });
+    return mineParallel(
+        app, g, num_cores, root_stride, host,
+        [&](const std::string &key, const trace::BytecodeProgram *bc) {
+            return std::make_unique<backend::SparseCoreBackend>(
+                config, bc ? ArtifactStore::global().suCosts(
+                                 key, *bc, config.suWindow)
+                           : nullptr);
+        });
 }
 
 ParallelGpmResult
@@ -156,10 +169,12 @@ mineParallelCpu(gpm::GpmApp app, const graph::CsrGraph &g,
                 const arch::SparseCoreConfig &config,
                 unsigned root_stride, const HostOptions &host)
 {
-    return mineParallel(app, g, num_cores, root_stride, host, [&] {
-        return std::make_unique<backend::CpuBackend>(config.core,
-                                                     config.mem);
-    });
+    return mineParallel(
+        app, g, num_cores, root_stride, host,
+        [&](const std::string &, const trace::BytecodeProgram *) {
+            return std::make_unique<backend::CpuBackend>(config.core,
+                                                         config.mem);
+        });
 }
 
 ParallelComparison
@@ -214,14 +229,17 @@ compareParallelGpm(gpm::GpmApp app, const graph::CsrGraph &g,
                             .embeddings;
                     });
                 backend::CpuBackend cpu(config.core, config.mem);
-                backend::SparseCoreBackend sc(config);
                 if (mode == trace::ReplayMode::Bytecode) {
                     const auto bc = store.program(key, cached->trace);
+                    backend::SparseCoreBackend sc(
+                        config,
+                        store.suCosts(key, *bc, config.suWindow));
                     return ChunkCompare{
                         cached->functionalResult,
                         trace::replayCompiled(*bc, cpu, false).cycles,
                         trace::replayCompiled(*bc, sc, false).cycles};
                 }
+                backend::SparseCoreBackend sc(config);
                 return ChunkCompare{
                     cached->functionalResult,
                     trace::replay(cached->trace, cpu, std::nullopt,

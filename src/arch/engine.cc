@@ -13,7 +13,7 @@ using streams::SetOpKind;
 
 Engine::Engine(const SparseCoreConfig &config)
     : config_(config),
-      core_(std::make_unique<sim::CoreModel>(config.core, config.mem)),
+      core_(config.core, config.mem),
       smt_(config.numStreamRegs),
       scache_(config.numStreamRegs, config.scacheSlotKeys,
               config.mem.l2.lineBytes),
@@ -52,31 +52,31 @@ Engine::~Engine() = default;
 Cycles
 Engine::now() const
 {
-    return core_->cycles();
+    return core_.cycles();
 }
 
 const sim::CycleBreakdown &
 Engine::breakdown() const
 {
-    return core_->breakdown();
+    return core_.breakdown();
 }
 
 void
 Engine::scalarOps(std::uint64_t n)
 {
-    core_->executeOps(n);
+    core_.executeOps(n);
 }
 
 void
 Engine::scalarBranch(std::uint64_t pc, bool taken)
 {
-    core_->executeBranch(pc, taken);
+    core_.executeBranch(pc, taken);
 }
 
 void
 Engine::scalarLoad(Addr addr)
 {
-    core_->load(addr);
+    core_.load(addr);
 }
 
 Engine::StreamInfo &
@@ -124,8 +124,8 @@ Engine::stallUntil(Cycles target, double mem_share)
     const Cycles gap = target - t;
     const auto mem_cycles = static_cast<Cycles>(
         std::llround(static_cast<double>(gap) * mem_share));
-    core_->addCycles(CycleClass::Cache, mem_cycles);
-    core_->addCycles(CycleClass::Intersection, gap - mem_cycles);
+    core_.addCycles(CycleClass::Cache, mem_cycles);
+    core_.addCycles(CycleClass::Intersection, gap - mem_cycles);
 }
 
 StreamHandle
@@ -165,8 +165,8 @@ Engine::makeStream(Addr key_addr, Addr val_addr, std::uint32_t length,
         ++scratchpadStreamHits_;
     } else {
         const Cycles refill = scache_.allocate(
-            si.smtIndex, key_addr, length, core_->mem());
-        scache_.prefetchRemainder(si.smtIndex, core_->mem());
+            si.smtIndex, key_addr, length, core_.mem());
+        scache_.prefetchRemainder(si.smtIndex, core_.mem());
         si.readyAt = issue + extra + refill;
         si.memShare = 1.0;
         if (priority > 0)
@@ -213,6 +213,26 @@ Engine::streamFree(StreamHandle handle)
     scache_.release(si.smtIndex);
 }
 
+void
+Engine::attachSuCosts(std::span<const streams::PackedSuCost> costs)
+{
+    suCostsAttached_ = true;
+    suCostNext_ = costs.data();
+    suCostEnd_ = costs.data() + costs.size();
+}
+
+streams::SuCost
+Engine::nextSuCost(streams::KeySpan a, streams::KeySpan b, SetOpKind kind,
+                   Key bound)
+{
+    if (!suCostsAttached_)
+        return streams::suCost(a, b, kind, bound, config_.suWindow);
+    if (suCostNext_ == suCostEnd_)
+        panic("SU-cost table exhausted: the replay issued more set "
+              "operations than the table holds");
+    return streams::unpackSuCost(*suCostNext_++);
+}
+
 Cycles
 Engine::scheduleSetOp(SetOpKind kind, StreamHandle a, StreamHandle b,
                       streams::KeySpan ak, streams::KeySpan bk, Key bound,
@@ -232,8 +252,7 @@ Engine::scheduleSetOp(SetOpKind kind, StreamHandle a, StreamHandle b,
     const Cycles su_free = su->freeAt();
     const Cycles start = std::max({issue, su_free, operands});
 
-    const auto cost =
-        streams::suCost(ak, bk, kind, bound, config_.suWindow);
+    const streams::SuCost cost = nextSuCost(ak, bk, kind, bound);
     const Cycles intrinsic = config_.suPipelineLatency + cost.cycles;
 
     // Fluid bandwidth server shared by all SUs: the operation needs
@@ -298,7 +317,7 @@ Engine::setOp(SetOpKind kind, StreamHandle a, StreamHandle b,
     scache_.allocateProduced(si.smtIndex, result_len);
     if (result_len > config_.scacheSlotKeys)
         scache_.writebackProduced(si.smtIndex, result_len,
-                                  core_->mem());
+                                  core_.mem());
     smt_.entry(*entry).produced = true;
 
     streams_.push_back(si);
@@ -346,7 +365,7 @@ Engine::valueIntersect(StreamHandle a, StreamHandle b,
 
     // Value pipeline: VA_gen -> load queue -> vBuf -> SVPU (§4.5).
     const SvpuCost vc = svpu_.process(match_val_addrs_a,
-                                      match_val_addrs_b, core_->mem());
+                                      match_val_addrs_b, core_.mem());
     const Cycles value_done =
         valueServerDone(now(), vc.loads) + vc.cycles / 4;
     const Cycles completion = std::max(su_completion, value_done);
@@ -383,7 +402,7 @@ Engine::valueMerge(StreamHandle a, StreamHandle b, streams::KeySpan ak,
     };
     pad(addrs_a, a_val_base);
     pad(addrs_b, b_val_base);
-    const SvpuCost vc = svpu_.process(addrs_a, addrs_b, core_->mem());
+    const SvpuCost vc = svpu_.process(addrs_a, addrs_b, core_.mem());
 
     StreamHandle out = setOp(SetOpKind::Merge, a, b, ak, bk, noBound,
                              result_len);
@@ -422,7 +441,7 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
     for (const auto &elem : elems)
         info_addrs.push_back(elem.infoAddr);
     const std::vector<Cycles> ready =
-        translator_.translate(start, info_addrs, core_->mem());
+        translator_.translate(start, info_addrs, core_.mem());
 
     // Accumulator ADD micro-op per element.
     scalarOps(elems.size());
@@ -432,7 +451,7 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
         // Micro-op S_READ of the nested stream: first-line fetch
         // latency; fetches of consecutive elements overlap, so only
         // the L2-and-beyond portion beyond one line is serialized.
-        const Cycles fetch = core_->mem().l2Access(elem.keyAddr);
+        const Cycles fetch = core_.mem().l2Access(elem.keyAddr);
 
         StreamUnit *su = &sus_[0];
         for (auto &candidate : sus_)
@@ -442,10 +461,8 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
         const Cycles su_free = su->freeAt();
         const Cycles op_start =
             std::max({ready[i] + fetch, su_free, start});
-        const auto cost =
-            streams::suCost(s_keys, elem.nested,
-                            SetOpKind::Intersect, elem.bound,
-                            config_.suWindow);
+        const streams::SuCost cost = nextSuCost(
+            s_keys, elem.nested, SetOpKind::Intersect, elem.bound);
         const Cycles intrinsic =
             config_.suPipelineLatency + cost.cycles;
         const double elems_moved =
@@ -502,14 +519,18 @@ Engine::fetchLoop(StreamHandle handle, std::uint64_t n,
     const std::uint64_t pc =
         0x1000 + (static_cast<std::uint64_t>(handle) << 4);
     for (std::uint64_t i = 0; i + 1 < n; ++i)
-        core_->executeBranch(pc, true);
+        core_.executeBranch(pc, true);
     if (n > 0)
-        core_->executeBranch(pc, false);
+        core_.executeBranch(pc, false);
 }
 
 Cycles
 Engine::finish()
 {
+    if (suCostNext_ != suCostEnd_)
+        panic("SU-cost table has %zu entries left unread: the replay "
+              "was not of the table's program",
+              static_cast<std::size_t>(suCostEnd_ - suCostNext_));
     if (maxCompletion_ > now()) {
         const double total = drainMemWeight_ + drainSuWeight_;
         const double share =

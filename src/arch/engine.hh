@@ -26,7 +26,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/config.hh"
@@ -129,14 +129,26 @@ class Engine
     void fetchLoop(StreamHandle handle, std::uint64_t n,
                    std::uint64_t ops_per_element = 2);
 
-    /** Drain all outstanding work; returns the final cycle count. */
+    /** Drain all outstanding work; returns the final cycle count.
+     *  Panics if an attached SU-cost table has entries left unread
+     *  (the replay was not of the table's program). */
     Cycles finish();
+
+    // ------------- precomputed SU costs -------------
+    /**
+     * Read SU costs from `costs` (one entry per SU-scheduled
+     * operation, in issue order; see trace/su_cost_table.hh) instead
+     * of calling streams::suCost. The entries must have been computed
+     * at this engine's suWindow and must outlive the run. Running past
+     * the end panics.
+     */
+    void attachSuCosts(std::span<const streams::PackedSuCost> costs);
 
     // ------------- observability -------------
     Cycles now() const;
     const sim::CycleBreakdown &breakdown() const;
     const SparseCoreConfig &config() const { return config_; }
-    sim::CoreModel &core() { return *core_; }
+    sim::CoreModel &core() { return core_; }
     const Histogram &streamLengthHist() const { return lengthHist_; }
     const StatSet &stats() const { return stats_; }
     const Smt &smt() const { return smt_; }
@@ -191,8 +203,13 @@ class Engine
 
     StreamInfo &info(StreamHandle handle);
 
+    /** The SU cost of the next scheduled operation: the next table
+     *  entry when a table is attached, else streams::suCost. */
+    streams::SuCost nextSuCost(streams::KeySpan a, streams::KeySpan b,
+                               streams::SetOpKind kind, Key bound);
+
     SparseCoreConfig config_;
-    std::unique_ptr<sim::CoreModel> core_;
+    sim::CoreModel core_;
     Smt smt_;
     SCache scache_;
     Scratchpad scratchpad_;
@@ -209,6 +226,10 @@ class Engine
     Cycles maxCompletion_ = 0;
     double drainMemWeight_ = 0.0;
     double drainSuWeight_ = 0.0;
+
+    bool suCostsAttached_ = false;
+    const streams::PackedSuCost *suCostNext_ = nullptr;
+    const streams::PackedSuCost *suCostEnd_ = nullptr;
 
     Histogram lengthHist_;
     StatSet stats_{"engine"};

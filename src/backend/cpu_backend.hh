@@ -96,7 +96,7 @@ class CpuBackend final : public ExecBackend
     void iterateStream(BackendStream handle, std::uint64_t n,
                        unsigned ops_per_element) override;
 
-    sim::CoreModel &core() { return *core_; }
+    sim::CoreModel &core() { return core_; }
 
   private:
     struct StreamRec
@@ -117,7 +117,7 @@ class CpuBackend final : public ExecBackend
 
     StreamRec &rec(BackendStream handle);
 
-    std::unique_ptr<sim::CoreModel> core_;
+    sim::CoreModel core_;
     CpuCostParams costs_;
     std::vector<StreamRec> streams_;
 };

@@ -1,10 +1,19 @@
 #include "backend/sparsecore_backend.hh"
 
+#include <utility>
+
+#include "common/logging.hh"
+
 namespace sc::backend {
 
-SparseCoreBackend::SparseCoreBackend(const arch::SparseCoreConfig &config)
-    : config_(config)
+SparseCoreBackend::SparseCoreBackend(
+    const arch::SparseCoreConfig &config,
+    std::shared_ptr<const streams::SuCostTable> su_costs)
+    : config_(config), suCosts_(std::move(su_costs))
 {
+    if (suCosts_ && suCosts_->width != config_.suWindow)
+        panic("SU-cost table built for window %u, engine window is %u",
+              suCosts_->width, config_.suWindow);
 }
 
 void
@@ -15,6 +24,8 @@ SparseCoreBackend::begin()
     // hierarchies from ever coexisting.
     engine_.reset();
     engine_ = std::make_unique<arch::Engine>(config_);
+    if (suCosts_)
+        engine_->attachSuCosts(suCosts_->entries);
 }
 
 Cycles

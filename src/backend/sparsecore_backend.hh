@@ -20,8 +20,16 @@ namespace sc::backend {
 class SparseCoreBackend final : public ExecBackend
 {
   public:
+    /**
+     * @param su_costs optional SU-cost table (trace::suCostTable) of
+     *        the one program every run of this backend replays; the
+     *        engine then reads each set op's cost from it instead of
+     *        calling streams::suCost. Must be built at
+     *        config.suWindow (checked). Null = compute every cost.
+     */
     explicit SparseCoreBackend(
-        const arch::SparseCoreConfig &config = arch::SparseCoreConfig{});
+        const arch::SparseCoreConfig &config = arch::SparseCoreConfig{},
+        std::shared_ptr<const streams::SuCostTable> su_costs = nullptr);
 
     std::string name() const override { return "sparsecore"; }
     void begin() override;
@@ -80,6 +88,7 @@ class SparseCoreBackend final : public ExecBackend
 
   private:
     arch::SparseCoreConfig config_;
+    std::shared_ptr<const streams::SuCostTable> suCosts_;
     std::unique_ptr<arch::Engine> engine_;
 };
 

@@ -1,5 +1,7 @@
 #include "sim/branch_predictor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace sc::sim {
@@ -10,22 +12,6 @@ bool
 isPowerOfTwo(std::size_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
-}
-
-/** Apply one branch to a 2-bit saturating counter; returns whether the
- *  pre-update prediction was correct. */
-bool
-updateCounter(std::uint8_t &ctr, bool taken)
-{
-    const bool predicted = ctr >= 2;
-    if (taken) {
-        if (ctr < 3)
-            ++ctr;
-    } else {
-        if (ctr > 0)
-            --ctr;
-    }
-    return predicted == taken;
 }
 
 } // namespace
@@ -54,15 +40,12 @@ GsharePredictor::GsharePredictor(std::size_t table_size,
         fatal("branch predictor table size must be a power of two");
 }
 
-bool
-GsharePredictor::predict(std::uint64_t pc, bool taken)
+void
+GsharePredictor::reset()
 {
-    const std::uint64_t idx = (pc ^ history_) & (table_.size() - 1);
-    std::uint8_t &ctr = table_[idx];
-    const bool correct = updateCounter(ctr, taken);
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
-    record(correct);
-    return correct;
+    std::fill(table_.begin(), table_.end(), std::uint8_t{1});
+    history_ = 0;
+    resetStats();
 }
 
 } // namespace sc::sim

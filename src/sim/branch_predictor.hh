@@ -38,6 +38,22 @@ class BranchPredictor
     void resetStats() { lookups_ = mispredicts_ = 0; }
 
   protected:
+    /** Apply one branch to a 2-bit saturating counter (>= 2 predicts
+     *  taken); returns whether the pre-update prediction was correct. */
+    static bool
+    updateCounter(std::uint8_t &ctr, bool taken)
+    {
+        const bool predicted = ctr >= 2;
+        if (taken) {
+            if (ctr < 3)
+                ++ctr;
+        } else {
+            if (ctr > 0)
+                --ctr;
+        }
+        return predicted == taken;
+    }
+
     /** Record one resolved branch. */
     void
     record(bool correct)
@@ -64,8 +80,12 @@ class TwoBitPredictor : public BranchPredictor
     std::vector<std::uint8_t> table_; // 0..3, >=2 predicts taken
 };
 
-/** Gshare: global history XOR pc indexing a 2-bit counter table. */
-class GsharePredictor : public BranchPredictor
+/**
+ * Gshare: global history XOR pc indexing a 2-bit counter table.
+ * Final, with predict() inline, so a CoreModel (which holds one by
+ * value) resolves every branch with a direct, inlinable call.
+ */
+class GsharePredictor final : public BranchPredictor
 {
   public:
     explicit GsharePredictor(std::size_t table_size = 16384,
@@ -73,11 +93,25 @@ class GsharePredictor : public BranchPredictor
 
     bool predict(std::uint64_t pc, bool taken) override;
 
+    /** Restore the freshly constructed state: every counter weakly
+     *  not-taken, empty history, zero stats. */
+    void reset();
+
   private:
     std::vector<std::uint8_t> table_;
     std::uint64_t history_ = 0;
     std::uint64_t historyMask_;
 };
+
+inline bool
+GsharePredictor::predict(std::uint64_t pc, bool taken)
+{
+    const std::uint64_t idx = (pc ^ history_) & (table_.size() - 1);
+    const bool correct = updateCounter(table_[idx], taken);
+    history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
+    record(correct);
+    return correct;
+}
 
 } // namespace sc::sim
 

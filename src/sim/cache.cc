@@ -1,6 +1,7 @@
 #include "sim/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -30,6 +31,7 @@ Cache::Cache(const CacheParams &params)
               params_.name.c_str(),
               static_cast<unsigned long long>(params_.sizeBytes),
               params_.ways);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(params_.lineBytes));
     numSets_ = static_cast<std::uint32_t>(lines / params_.ways);
     setsArePow2_ = isPowerOfTwo(numSets_);
     tags_.assign(static_cast<std::size_t>(numSets_) * params_.ways, 0);

@@ -62,7 +62,8 @@ class Cache
     void resetStats() { hits_ = misses_ = 0; }
 
   private:
-    Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
+    /** Line sizes are powers of two (the constructor checks). */
+    Addr lineAddr(Addr addr) const { return addr >> lineShift_; }
 
     /** Set index; power-of-two set counts use the fast mask path. */
     std::uint32_t
@@ -74,6 +75,7 @@ class Cache
 
     CacheParams params_;
     std::uint32_t numSets_;
+    unsigned lineShift_ = 0;
     bool setsArePow2_ = true;
     /** numSets_ x params_.ways, row-major; each set MRU first. */
     std::vector<Addr> tags_;

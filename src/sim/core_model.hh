@@ -13,9 +13,8 @@
 #define SPARSECORE_SIM_CORE_MODEL_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "common/types.hh"
 #include "sim/branch_predictor.hh"
@@ -72,8 +71,10 @@ struct CycleBreakdown
 };
 
 /**
- * The core model. Owns its branch predictor and memory hierarchy and
- * exposes event-level charging methods used by execution backends.
+ * The core model. Owns its branch predictor and memory hierarchy by
+ * value and exposes event-level charging methods used by execution
+ * backends; the per-event methods are inline, so a backend's hot loop
+ * compiles the predictor and the tag walks in place.
  */
 class CoreModel
 {
@@ -82,23 +83,49 @@ class CoreModel
                        const MemParams &mem_params = MemParams{});
 
     /** Charge n generic ALU/addressing ops (issueWidth-wide). */
-    void executeOps(std::uint64_t n,
-                    CycleClass cls = CycleClass::OtherCompute);
+    void
+    executeOps(std::uint64_t n, CycleClass cls = CycleClass::OtherCompute)
+    {
+        // n ops at issueWidth per cycle, rounded up per call.
+        breakdown_[cls] +=
+            (n + params_.issueWidth - 1) / params_.issueWidth;
+    }
 
     /**
      * Charge one conditional branch; runs the predictor and charges
      * the mispredict penalty when it misses.
      * @return true when mispredicted.
      */
-    bool executeBranch(std::uint64_t pc, bool taken,
-                       CycleClass compute_cls = CycleClass::OtherCompute);
+    bool
+    executeBranch(std::uint64_t pc, bool taken,
+                  CycleClass compute_cls = CycleClass::OtherCompute)
+    {
+        executeOps(1, compute_cls);
+        const bool correct = predictor_.predict(pc, taken);
+        if (!correct)
+            breakdown_[CycleClass::Mispredict] +=
+                params_.mispredictPenalty;
+        return !correct;
+    }
 
     /**
      * Charge one load. L1 hits are considered fully pipelined; deeper
      * misses charge missStallFraction of the beyond-L1 latency as
      * cache-stall cycles.
      */
-    void load(Addr addr, CycleClass compute_cls = CycleClass::OtherCompute);
+    void
+    load(Addr addr, CycleClass compute_cls = CycleClass::OtherCompute)
+    {
+        executeOps(1, compute_cls);
+        MemLevel level;
+        const Cycles latency = mem_.l1Access(addr, level);
+        if (level == MemLevel::L1)
+            return; // pipelined, address-generation charged above
+        const Cycles beyond_l1 = latency - mem_.params().l1Latency;
+        breakdown_[CycleClass::Cache] += static_cast<Cycles>(
+            std::llround(static_cast<double>(beyond_l1) *
+                         params_.missStallFraction));
+    }
 
     /**
      * Charge one load from a batch of INDEPENDENT accesses (gather /
@@ -110,21 +137,23 @@ class CoreModel
                             CycleClass::OtherCompute);
 
     /** Directly add cycles to a class (specialized callers). */
-    void addCycles(CycleClass cls, Cycles n);
+    void addCycles(CycleClass cls, Cycles n) { breakdown_[cls] += n; }
 
     Cycles cycles() const { return breakdown_.total(); }
     const CycleBreakdown &breakdown() const { return breakdown_; }
 
-    MemHierarchy &mem() { return *mem_; }
-    BranchPredictor &predictor() { return *predictor_; }
+    MemHierarchy &mem() { return mem_; }
+    GsharePredictor &predictor() { return predictor_; }
     const CoreParams &params() const { return params_; }
 
+    /** Restore the freshly constructed state: zero cycles, empty
+     *  caches, a cold predictor and zeroed statistics. */
     void reset();
 
   private:
     CoreParams params_;
-    std::unique_ptr<BranchPredictor> predictor_;
-    std::unique_ptr<MemHierarchy> mem_;
+    GsharePredictor predictor_;
+    MemHierarchy mem_;
     CycleBreakdown breakdown_;
 };
 

@@ -11,9 +11,6 @@
 #ifndef SPARSECORE_SIM_MEM_HIERARCHY_HH
 #define SPARSECORE_SIM_MEM_HIERARCHY_HH
 
-#include <memory>
-
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/cache.hh"
 
@@ -34,36 +31,79 @@ struct MemParams
 /** Where an access was satisfied. */
 enum class MemLevel { L1, L2, L3, Memory };
 
-/** The three-level hierarchy with per-level stats. */
+/**
+ * The three-level hierarchy with per-level stats. The caches are held
+ * by value and both access paths are inline, so a core model's load
+ * compiles down to the tag walks themselves.
+ */
 class MemHierarchy
 {
   public:
     explicit MemHierarchy(const MemParams &params = MemParams{});
 
     /** CPU-side load of one byte address; returns load-to-use cycles. */
-    Cycles l1Access(Addr addr);
+    Cycles
+    l1Access(Addr addr)
+    {
+        MemLevel level;
+        return l1Access(addr, level);
+    }
     /** Same but reports the satisfying level. */
     Cycles l1Access(Addr addr, MemLevel &level);
 
     /** S-Cache refill path: starts at L2 (bypasses/doesn't pollute L1). */
-    Cycles l2Access(Addr addr);
+    Cycles
+    l2Access(Addr addr)
+    {
+        MemLevel level;
+        return l2Access(addr, level);
+    }
     Cycles l2Access(Addr addr, MemLevel &level);
 
     const MemParams &params() const { return params_; }
-    Cache &l1() { return *l1_; }
-    Cache &l2() { return *l2_; }
-    Cache &l3() { return *l3_; }
+    Cache &l1() { return l1_; }
+    Cache &l2() { return l2_; }
+    Cache &l3() { return l3_; }
 
     std::uint64_t memAccesses() const { return memAccesses_; }
     void resetStats();
+    /** Restore the freshly constructed state: every level empty,
+     *  every counter zero. */
+    void reset();
 
   private:
     MemParams params_;
-    std::unique_ptr<Cache> l1_;
-    std::unique_ptr<Cache> l2_;
-    std::unique_ptr<Cache> l3_;
+    Cache l1_;
+    Cache l2_;
+    Cache l3_;
     std::uint64_t memAccesses_ = 0;
 };
+
+inline Cycles
+MemHierarchy::l1Access(Addr addr, MemLevel &level)
+{
+    if (l1_.access(addr)) {
+        level = MemLevel::L1;
+        return params_.l1Latency;
+    }
+    return params_.l1Latency + l2Access(addr, level);
+}
+
+inline Cycles
+MemHierarchy::l2Access(Addr addr, MemLevel &level)
+{
+    if (l2_.access(addr)) {
+        level = MemLevel::L2;
+        return params_.l2Latency;
+    }
+    if (l3_.access(addr)) {
+        level = MemLevel::L3;
+        return params_.l2Latency + params_.l3Latency;
+    }
+    ++memAccesses_;
+    level = MemLevel::Memory;
+    return params_.l2Latency + params_.l3Latency + params_.memLatency;
+}
 
 } // namespace sc::sim
 

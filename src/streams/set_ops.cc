@@ -256,6 +256,22 @@ suCost(KeySpan a, KeySpan b, SetOpKind kind, Key bound, unsigned width)
     return SuCost{cycles, i, j};
 }
 
+PackedSuCost
+packSuCost(const SuCost &cost)
+{
+    constexpr std::uint64_t limit = UINT32_MAX;
+    if (cost.cycles > limit || cost.aConsumed > limit ||
+        cost.bConsumed > limit)
+        panic("SU cost (%llu cycles, %llu/%llu consumed) does not fit "
+              "a packed table entry",
+              static_cast<unsigned long long>(cost.cycles),
+              static_cast<unsigned long long>(cost.aConsumed),
+              static_cast<unsigned long long>(cost.bConsumed));
+    return PackedSuCost{static_cast<std::uint32_t>(cost.cycles),
+                        static_cast<std::uint32_t>(cost.aConsumed),
+                        static_cast<std::uint32_t>(cost.bConsumed)};
+}
+
 Cycles
 suCycles(KeySpan a, KeySpan b, SetOpKind kind, Key bound, unsigned width)
 {

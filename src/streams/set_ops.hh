@@ -235,6 +235,45 @@ struct SuCost
 SuCost suCost(KeySpan a, KeySpan b, SetOpKind kind, Key bound = noBound,
               unsigned width = 16);
 
+/**
+ * One SuCost narrowed to three u32s: the entry of an SU-cost table.
+ * Operand lengths are u32, so the consumed counts always fit; cycles
+ * never exceed the operands' total length. packSuCost checks both.
+ */
+struct PackedSuCost
+{
+    std::uint32_t cycles = 0;
+    std::uint32_t aConsumed = 0;
+    std::uint32_t bConsumed = 0;
+};
+
+/** Narrow a cost into a table entry; panics if a field overflows. */
+PackedSuCost packSuCost(const SuCost &cost);
+
+inline SuCost
+unpackSuCost(const PackedSuCost &packed)
+{
+    return SuCost{packed.cycles, packed.aConsumed, packed.bConsumed};
+}
+
+/**
+ * Every SU cost one replay of a compiled program asks for, at one
+ * comparator window, in request order (built by trace::suCostTable).
+ * The cost is a pure function of (operands, kind, bound, width), so
+ * one table serves every arch point that keeps the window.
+ */
+struct SuCostTable
+{
+    unsigned width = 0;
+    std::vector<PackedSuCost> entries;
+
+    std::size_t
+    memoryBytes() const
+    {
+        return sizeof(*this) + entries.capacity() * sizeof(PackedSuCost);
+    }
+};
+
 /** Convenience wrapper returning only the cycle count. */
 Cycles suCycles(KeySpan a, KeySpan b, SetOpKind kind, Key bound = noBound,
                 unsigned width = 16);

@@ -271,3 +271,44 @@ TEST(ArtifactStore, KeysEncodeContentAndVersions)
     // Program keys derive from the trace key + bytecode version.
     EXPECT_NE(ArtifactStore::programKey(k1), k1);
 }
+
+TEST(ArtifactStore, StatsCoverEveryCache)
+{
+    // Touch every store cache, then check that stats() reports each,
+    // str() names each, and the resident total is their sum.
+    const auto g = testGraph(111);
+    ArtifactStore &store = ArtifactStore::global();
+    const std::string key = ArtifactStore::gpmTraceKey(gpm::GpmApp::T, g, 1);
+    const auto cached = store.trace(key, gpmCapture(g, gpm::GpmApp::T));
+    const auto program = store.program(key, cached->trace, false);
+    const arch::SparseCoreConfig config;
+    store.verdict(key, cached->trace, 16);
+    store.summary(key, cached->trace, config);
+    store.pressure(key, cached->trace);
+    store.suCosts(key, *program, config.suWindow);
+
+    const ArtifactStoreStats stats = store.stats();
+    for (const CacheStats *cache :
+         {&stats.traces, &stats.programs, &stats.verdicts,
+          &stats.summaries, &stats.pressures, &stats.suCosts}) {
+        EXPECT_GT(cache->misses, 0u);
+        EXPECT_GT(cache->entries, 0u);
+        EXPECT_GT(cache->bytes, 0u);
+    }
+    EXPECT_EQ(stats.residentBytes(),
+              stats.graphs.bytes + stats.labeledGraphs.bytes +
+                  stats.traces.bytes + stats.programs.bytes +
+                  stats.verdicts.bytes + stats.summaries.bytes +
+                  stats.pressures.bytes + stats.suCosts.bytes);
+
+    const std::string line = stats.str();
+    for (const char *name :
+         {"graphs ", "labeled graphs ", "traces ", "programs ",
+          "verdicts ", "summaries ", "pressures ", "sucosts "})
+        EXPECT_NE(line.find(std::string(" ") + name), std::string::npos)
+            << name << " missing from: " << line;
+    EXPECT_NE(line.find("resident " + std::to_string(stats.residentBytes()) +
+                        " bytes"),
+              std::string::npos)
+        << line;
+}

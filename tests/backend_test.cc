@@ -13,6 +13,12 @@
 #include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
 #include "common/rng.hh"
+#include "gpm/apps.hh"
+#include "gpm/executor.hh"
+#include "test_util.hh"
+#include "trace/compile.hh"
+#include "trace/recorder.hh"
+#include "trace/replay.hh"
 
 using namespace sc;
 using namespace sc::backend;
@@ -169,6 +175,53 @@ TEST(CpuBackend, BreakdownCategoriesPopulated)
     // must both appear (the Fig. 9 shape).
     EXPECT_GT(bd[sim::CycleClass::Mispredict], 0u);
     EXPECT_GT(bd[sim::CycleClass::Intersection], 0u);
+}
+
+TEST(CpuBackend, BeginResetsModeledMachine)
+{
+    // begin() must restore the freshly built machine — caches and
+    // predictor included — so a reused backend reports what a fresh
+    // one does, run after run.
+    Rng rng(8);
+    const auto a = sortedKeys(rng, 3000, 50000);
+    const auto b = sortedKeys(rng, 3000, 50000);
+    auto run = [&](CpuBackend &cpu) {
+        cpu.begin();
+        auto h1 = cpu.streamLoad(0x1000, a.size(), 0, a);
+        auto h2 = cpu.streamLoad(0x90000, b.size(), 0, b);
+        cpu.setOpCount(SetOpKind::Intersect, h1, h2, a, b, noBound, 0);
+        return cpu.finish();
+    };
+    CpuBackend fresh, reused;
+    const Cycles want = run(fresh);
+    EXPECT_EQ(run(reused), want);
+    EXPECT_EQ(run(reused), want);
+    EXPECT_EQ(reused.breakdown().cycles, fresh.breakdown().cycles);
+}
+
+TEST(CpuBackend, BackToBackReplaysMatchFreshBackend)
+{
+    const auto g = test::randomTestGraph(120, 900, 9);
+    for (const gpm::GpmApp app : {gpm::GpmApp::T, gpm::GpmApp::TC}) {
+        trace::TraceRecorder rec;
+        gpm::PlanExecutor executor(g, rec);
+        executor.runMany(gpm::gpmAppPlans(app));
+        const trace::BytecodeProgram bc =
+            trace::compileTrace(rec.takeTrace());
+
+        CpuBackend fresh;
+        const trace::ReplayResult want =
+            trace::replayCompiled(bc, fresh, false);
+        CpuBackend reused;
+        for (int i = 0; i < 2; ++i) {
+            const trace::ReplayResult got =
+                trace::replayCompiled(bc, reused, false);
+            EXPECT_EQ(got.cycles, want.cycles)
+                << gpm::gpmAppName(app) << " replay " << i;
+            EXPECT_EQ(got.breakdown.cycles, want.breakdown.cycles)
+                << gpm::gpmAppName(app) << " replay " << i;
+        }
+    }
 }
 
 TEST(SparseCoreBackend, BeginResetsEngine)

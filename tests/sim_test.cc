@@ -177,6 +177,30 @@ TEST(CoreModel, ResetClearsState)
     EXPECT_EQ(core.mem().l1().hits() + core.mem().l1().misses(), 0u);
 }
 
+TEST(CoreModel, ResetRestoresFreshState)
+{
+    // After reset() the same work costs what it costs on a new core:
+    // no warm cache lines, no trained predictor.
+    auto work = [](CoreModel &core) {
+        for (Addr a = 0; a < 16 * 1024; a += 64)
+            core.load(0x200000 + a);
+        for (int i = 0; i < 500; ++i)
+            core.executeBranch(0x40, i % 3 == 0);
+        return core.breakdown();
+    };
+    CoreModel fresh, reused;
+    const CycleBreakdown want = work(fresh);
+    work(reused);
+    reused.reset();
+    EXPECT_EQ(reused.cycles(), 0u);
+    EXPECT_EQ(reused.predictor().lookups(), 0u);
+    EXPECT_EQ(reused.mem().memAccesses(), 0u);
+    EXPECT_EQ(work(reused).cycles, want.cycles);
+    EXPECT_EQ(reused.mem().l1().misses(), fresh.mem().l1().misses());
+    EXPECT_EQ(reused.predictor().mispredicts(),
+              fresh.predictor().mispredicts());
+}
+
 TEST(CycleBreakdown, FractionsSumToOne)
 {
     CycleBreakdown bd;

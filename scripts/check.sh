@@ -105,7 +105,7 @@ echo "=== TSan build + parallel suites ==="
 cmake -B "${prefix}-tsan" -S . -DSPARSECORE_SANITIZE=thread >/dev/null
 cmake --build "${prefix}-tsan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-tsan/tests/sparsecore_tests" \
-    --gtest_filter='ThreadPool.*:HostParallel.*:Parallel.*:Machine*.*:LruCache.*:ArtifactStore.*:JobQueue.*:Scheduler.*:SuCostTable.*'
+    --gtest_filter='ThreadPool.*:HostParallel.*:Parallel.*:Machine*.*:LruCache.*:ArtifactStore.*:JobQueue.*:Scheduler.*:SuCostTable.*:ReplayResultCache.*'
 
 echo
 echo "=== ASan+UBSan build + trace/replay suites ==="
@@ -113,7 +113,7 @@ cmake -B "${prefix}-asan" -S . \
     -DSPARSECORE_SANITIZE=address,undefined >/dev/null
 cmake --build "${prefix}-asan" -j"$(nproc)" --target sparsecore_tests
 "${prefix}-asan/tests/sparsecore_tests" \
-    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ArtifactStore.*:LruCache.*:SuCostTable.*:CpuBackend.*:CoreModel.*'
+    --gtest_filter='Trace*:Seeds/TraceReplay*:Bytecode*:ArtifactStore.*:LruCache.*:SuCostTable.*:ReplayResultCache.*:CpuBackend.*:CoreModel.*'
 
 echo
 echo "=== forced-scalar kernel build + full ctest ==="
@@ -172,7 +172,9 @@ echo "=== job server: queued vs sequential bit-identity ==="
 # byte-identical to sequential Machine execution; with a single
 # worker the artifact-store hit counts are deterministic: g1/g2
 # share the (T, W) trace+program, f1/f2 share the FSM key, g3 and
-# g4 are distinct misses, tensor jobs are not store-keyed.
+# g4 are distinct misses, tensor jobs are not store-keyed. The run
+# siblings g2 and f2 reuse their compare job's SparseCore result;
+# the three compare jobs and g3 replay 7 results.
 server_bin="$(cd "${prefix}" && pwd)/examples/example_sparsecore_server"
 server_tmp="$(mktemp -d)"
 cat > "${server_tmp}/batch12.jsonl" <<'EOF'
@@ -200,6 +202,8 @@ grep -q '"trace_hits":2' "${server_tmp}/ordered.jsonl"
 grep -q '"trace_misses":4' "${server_tmp}/ordered.jsonl"
 grep -q '"program_hits":2' "${server_tmp}/ordered.jsonl"
 grep -q '"program_misses":4' "${server_tmp}/ordered.jsonl"
+grep -q '"result_hits":2' "${server_tmp}/ordered.jsonl"
+grep -q '"result_misses":7' "${server_tmp}/ordered.jsonl"
 echo "12-job batch: queued == sequential; store hits deterministic"
 
 echo

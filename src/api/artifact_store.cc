@@ -4,8 +4,14 @@
 #include <cstring>
 #include <sstream>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "analysis/trace_check.hh"
 #include "arch/config.hh"
+#include "backend/cpu_backend.hh"
+#include "backend/sparsecore_backend.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
 
@@ -54,6 +60,15 @@ suCostBytes(const streams::SuCostTable &table)
     return table.memoryBytes();
 }
 
+/** One cache level's geometry (its name included: every field of
+ *  CacheParams is part of the key). */
+void
+appendCacheKey(std::ostringstream &os, const sim::CacheParams &cache)
+{
+    const auto &[name, size_bytes, ways, line_bytes] = cache;
+    os << name << ":" << size_bytes << "x" << ways << "x" << line_bytes;
+}
+
 void
 appendCounters(std::ostringstream &os, const char *name,
                const CacheStats &stats)
@@ -71,7 +86,7 @@ ArtifactStoreStats::residentBytes() const
 {
     return graphs.bytes + labeledGraphs.bytes + traces.bytes +
            programs.bytes + verdicts.bytes + summaries.bytes +
-           pressures.bytes + suCosts.bytes;
+           pressures.bytes + suCosts.bytes + results.bytes;
 }
 
 std::string
@@ -94,6 +109,8 @@ ArtifactStoreStats::str() const
     appendCounters(os, "pressures", pressures);
     os << " | ";
     appendCounters(os, "sucosts", suCosts);
+    os << " | ";
+    appendCounters(os, "results", results);
     os << " | resident " << residentBytes() << " bytes";
     return os.str();
 }
@@ -104,7 +121,8 @@ ArtifactStore::ArtifactStore(std::size_t capacity_bytes)
       verdicts_(capacity_bytes, verdictBytes),
       summaries_(capacity_bytes, summaryBytes),
       pressures_(capacity_bytes, pressureBytes),
-      suCosts_(capacity_bytes, suCostBytes)
+      suCosts_(capacity_bytes, suCostBytes),
+      results_(capacity_bytes) // sizeof(ReplayResult) each
 {
 }
 
@@ -213,6 +231,34 @@ ArtifactStore::suCosts(const std::string &trace_key,
     });
 }
 
+std::shared_ptr<const trace::ReplayResult>
+ArtifactStore::replayResult(const std::string &trace_key,
+                            const trace::BytecodeProgram &program,
+                            Substrate substrate,
+                            const arch::SparseCoreConfig &config,
+                            bool *replayed)
+{
+    bool built = false;
+    auto result = results_.getOrBuild(
+        resultKey(trace_key, substrate, config), [&] {
+            built = true;
+            trace::ReplayResult rep;
+            if (substrate == Substrate::Cpu) {
+                backend::CpuBackend be(config.core, config.mem);
+                rep = trace::replayCompiled(program, be, false);
+            } else {
+                backend::SparseCoreBackend be(
+                    config,
+                    suCosts(trace_key, program, config.suWindow));
+                rep = trace::replayCompiled(program, be, false);
+            }
+            return std::make_shared<const trace::ReplayResult>(rep);
+        });
+    if (replayed)
+        *replayed = built;
+    return result;
+}
+
 std::shared_ptr<const ArtifactStore::CachedTrace>
 ArtifactStore::peekTrace(const std::string &key)
 {
@@ -244,6 +290,7 @@ ArtifactStore::stats() const
     stats.summaries = summaries_.stats();
     stats.pressures = pressures_.stats();
     stats.suCosts = suCosts_.stats();
+    stats.results = results_.stats();
     return stats;
 }
 
@@ -256,6 +303,15 @@ ArtifactStore::clear()
     summaries_.clear();
     pressures_.clear();
     suCosts_.clear();
+    results_.clear();
+#if defined(__GLIBC__)
+    // Hand the dropped artifacts' pages back to the OS. Otherwise
+    // they stay resident as free heap, and re-warming the store
+    // allocates around the fragments: a warm sweep that clears and
+    // re-warms once per cycle saw its peak RSS drift from 165 to
+    // 235 MB over a dozen cycles; with the trim it stays at 165 MB.
+    malloc_trim(0);
+#endif
 }
 
 std::string
@@ -317,14 +373,10 @@ std::string
 ArtifactStore::summaryKey(const std::string &trace_key,
                           const arch::SparseCoreConfig &config)
 {
-    // Only the arch fields the cost model reads (JobSpec's arch
-    // overrides) key the summary; pressure is config-independent
-    // and has its own key (pressureKey).
-    std::ostringstream os;
-    os << trace_key << "/sum/su" << config.numSus << "w"
-       << config.suWindow << "bw" << config.aggregateBandwidth
-       << (config.nestedIntersection ? "n1" : "n0");
-    return os.str();
+    // The cost bounds read the core, memory and stream-component
+    // timing parameters; pressure is config-independent and has its
+    // own key (pressureKey).
+    return trace_key + "/sum/" + timingKey(config);
 }
 
 std::string
@@ -337,6 +389,63 @@ std::string
 ArtifactStore::suCostKey(const std::string &trace_key, unsigned width)
 {
     return programKey(trace_key) + "/sucost/w" + std::to_string(width);
+}
+
+std::string
+ArtifactStore::resultKey(const std::string &trace_key, Substrate substrate,
+                         const arch::SparseCoreConfig &config)
+{
+    // CpuBackend reads only the core and memory parameters, so the
+    // CPU baseline of a program is shared by every SparseCore point.
+    if (substrate == Substrate::Cpu)
+        return programKey(trace_key) + "/result/cpu/" +
+               timingKey(config.core, config.mem);
+    return programKey(trace_key) + "/result/sc/" + timingKey(config);
+}
+
+std::string
+ArtifactStore::timingKey(const sim::CoreParams &core,
+                         const sim::MemParams &mem)
+{
+    // Structured bindings name every field: adding one to a struct
+    // breaks the build here until the key writes it.
+    const auto &[issue_width, rob_size, load_queue_size,
+                 mispredict_penalty, miss_stall_fraction] = core;
+    const auto &[l1, l2, l3, l1_latency, l2_latency, l3_latency,
+                 mem_latency] = mem;
+    std::ostringstream os;
+    os << "iw" << issue_width << "rob" << rob_size << "lq"
+       << load_queue_size << "mp" << mispredict_penalty << "ms"
+       << std::hexfloat << miss_stall_fraction << std::defaultfloat
+       << "/";
+    appendCacheKey(os, l1);
+    os << "," << l1_latency << "/";
+    appendCacheKey(os, l2);
+    os << "," << l2_latency << "/";
+    appendCacheKey(os, l3);
+    os << "," << l3_latency << "/mem" << mem_latency;
+    return os.str();
+}
+
+std::string
+ArtifactStore::timingKey(const arch::SparseCoreConfig &config)
+{
+    const auto &[num_sus, su_window, su_pipeline_latency,
+                 scache_slot_keys, num_stream_regs, aggregate_bandwidth,
+                 scratchpad_bytes, scratchpad_latency,
+                 translation_buffer_size, value_load_mlp,
+                 value_loads_per_cycle, max_outstanding_ops,
+                 nested_intersection, core, mem] = config;
+    std::ostringstream os;
+    os << "su" << num_sus << "w" << su_window << "pl"
+       << su_pipeline_latency << "sk" << scache_slot_keys << "sr"
+       << num_stream_regs << "bw" << aggregate_bandwidth << "sp"
+       << scratchpad_bytes << "spl" << scratchpad_latency << "tb"
+       << translation_buffer_size << "vm" << value_load_mlp << "vl"
+       << value_loads_per_cycle << "oo" << max_outstanding_ops
+       << (nested_intersection ? "n1" : "n0") << "/"
+       << timingKey(core, mem);
+    return os.str();
 }
 
 } // namespace sc::api

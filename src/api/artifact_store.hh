@@ -2,9 +2,10 @@
  * @file
  * api::ArtifactStore — one shared, content-keyed lifecycle for the
  * expensive artifacts the system builds: captured execution Traces
- * (with their functional result) and compiled SCBC BytecodePrograms,
- * alongside the dataset-registry graph caches (graph/datasets.hh,
- * built on the same common/cache.hh primitive).
+ * (with their functional result), compiled SCBC BytecodePrograms and
+ * their timed replay results, alongside the dataset-registry graph
+ * caches (graph/datasets.hh, built on the same common/cache.hh
+ * primitive).
  *
  * Keys are content-derived, never pointer-derived:
  *
@@ -13,6 +14,8 @@
  *   program  <trace key>/scbc<v>[f]
  *   pressure <trace key>/pressure
  *   sucost   <program key>/sucost/w<SU window>
+ *   result   <program key>/result/cpu/<timingKey(core, mem)>
+ *            <program key>/result/sc/<timingKey(SparseCoreConfig)>
  *   graph    dataset key (+ label count), owned by graph/datasets
  *
  * A trace is a pure function of (workload, dataset content, root
@@ -44,11 +47,13 @@
 
 #include "analysis/diagnostics.hh"
 #include "analysis/summary.hh"
+#include "api/run.hh"
 #include "common/cache.hh"
 #include "gpm/apps.hh"
 #include "graph/datasets.hh"
 #include "trace/compile.hh"
 #include "trace/recorder.hh"
+#include "trace/replay.hh"
 #include "trace/su_cost_table.hh"
 
 namespace sc::api {
@@ -64,6 +69,7 @@ struct ArtifactStoreStats
     CacheStats summaries; ///< cost-bound summary cache (summary())
     CacheStats pressures; ///< admission pressure cache (pressure())
     CacheStats suCosts;   ///< SU-cost table cache (suCosts())
+    CacheStats results;   ///< timed replay result cache (replayResult())
 
     /** Bytes resident across every cache above. */
     std::size_t residentBytes() const;
@@ -141,8 +147,8 @@ class ArtifactStore
 
     /** Get-or-compute the quantitative summary (pressure profile +
      *  cost bounds) of a trace under `config` — at most once per
-     *  resident (trace_key, arch point). scverify and the sweep tests
-     *  share the same cached numbers. */
+     *  resident (trace_key, timing config). scverify and the sweep
+     *  tests share the same cached numbers. */
     std::shared_ptr<const analysis::ProgramSummary>
     summary(const std::string &trace_key, const trace::Trace &tr,
             const arch::SparseCoreConfig &config);
@@ -165,6 +171,25 @@ class ArtifactStore
     suCosts(const std::string &trace_key,
             const trace::BytecodeProgram &program, unsigned width);
 
+    /**
+     * Get-or-replay the timed result (cycles and breakdown) of the
+     * program compiled from `trace_key`'s trace on `substrate` — at
+     * most once per resident (program, substrate, timing config).
+     * The CPU result keys on the fields CpuBackend reads
+     * (config.core, config.mem), so every arch point shares one CPU
+     * baseline; the SparseCore result keys on the whole config and
+     * replays with the store's SU-cost table. A hit returns an
+     * earlier replay's numbers, bit-identical by construction. When
+     * `replayed` is non-null it is set to whether *this call* ran
+     * the replay (a store miss).
+     */
+    std::shared_ptr<const trace::ReplayResult>
+    replayResult(const std::string &trace_key,
+                 const trace::BytecodeProgram &program,
+                 Substrate substrate,
+                 const arch::SparseCoreConfig &config,
+                 bool *replayed = nullptr);
+
     /** Resident-trace peek for admission-time checks: never captures,
      *  never counts a hit or miss (the smoke legs pin those). */
     std::shared_ptr<const CachedTrace>
@@ -178,7 +203,8 @@ class ArtifactStore
                  std::uint32_t num_labels = 8) const;
 
     ArtifactStoreStats stats() const;
-    /** Drop every resident artifact but the graph registry. */
+    /** Drop every resident artifact but the graph registry, and
+     *  return the freed heap pages to the OS (glibc malloc_trim). */
     void clear();
 
     // ---------------- key scheme ----------------
@@ -203,6 +229,20 @@ class ArtifactStore
     static std::string pressureKey(const std::string &trace_key);
     static std::string suCostKey(const std::string &trace_key,
                                  unsigned width);
+    static std::string resultKey(const std::string &trace_key,
+                                 Substrate substrate,
+                                 const arch::SparseCoreConfig &config);
+    /**
+     * Every timing parameter, written out field by field: the CPU
+     * baseline's (core pipeline and memory hierarchy) or the whole
+     * SparseCore config's (its stream components plus the same core
+     * and memory). The result and summary keys are built from it. A
+     * field added to any of these structs fails to compile here until
+     * it is written into the key.
+     */
+    static std::string timingKey(const sim::CoreParams &core,
+                                 const sim::MemParams &mem);
+    static std::string timingKey(const arch::SparseCoreConfig &config);
 
   private:
     LruCache<std::string, CachedTrace> traces_;
@@ -211,6 +251,7 @@ class ArtifactStore
     LruCache<std::string, analysis::ProgramSummary> summaries_;
     LruCache<std::string, analysis::PressureSummary> pressures_;
     LruCache<std::string, streams::SuCostTable> suCosts_;
+    LruCache<std::string, trace::ReplayResult> results_;
 };
 
 } // namespace sc::api

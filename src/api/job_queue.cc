@@ -126,7 +126,8 @@ JobQueueStats::str() const
        << p99LatencySeconds * 1e3 << " ms";
     os << " | store: traces " << traceHits << " hits / "
        << traceMisses << " misses, programs " << programHits
-       << " hits / " << programMisses << " misses";
+       << " hits / " << programMisses << " misses, results "
+       << resultHits << " hits / " << resultMisses << " misses";
     os << " | verify: " << verifyChecked << " checked, "
        << verifyRejected << " program / " << pressureRejected
        << " pressure rejects, " << verdictHits
@@ -158,6 +159,8 @@ JobQueueStats::toJsonValue() const
     store.set("trace_misses", JsonValue::number(traceMisses));
     store.set("program_hits", JsonValue::number(programHits));
     store.set("program_misses", JsonValue::number(programMisses));
+    store.set("result_hits", JsonValue::number(resultHits));
+    store.set("result_misses", JsonValue::number(resultMisses));
     store.set("trace_waits", JsonValue::number(traceWaits));
     store.set("program_waits", JsonValue::number(programWaits));
     store.set("verdict_hits", JsonValue::number(verdictHits));
@@ -489,6 +492,9 @@ JobQueue::stats() const
     out.programHits = now.programs.hits - store_before_.programs.hits;
     out.programMisses =
         now.programs.misses - store_before_.programs.misses;
+    out.resultHits = now.results.hits - store_before_.results.hits;
+    out.resultMisses =
+        now.results.misses - store_before_.results.misses;
     out.traceWaits = now.traces.inflightWaits -
                      store_before_.traces.inflightWaits;
     out.programWaits = now.programs.inflightWaits -

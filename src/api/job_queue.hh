@@ -136,6 +136,9 @@ struct JobQueueStats
     std::uint64_t traceMisses = 0;
     std::uint64_t programHits = 0;
     std::uint64_t programMisses = 0;
+    /** Timed replay results (both substrates) reused / replayed. */
+    std::uint64_t resultHits = 0;
+    std::uint64_t resultMisses = 0;
     /** Store in-flight dedup waits: a pool worker blocked on a build
      *  another thread was already running — exactly the convoy the
      *  affinity policy exists to avoid (it parks instead). */

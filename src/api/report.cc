@@ -72,6 +72,7 @@ jsonValue(const TraceStats &trace)
     out.set("trace_cache_hit", JsonValue::boolean(trace.traceCacheHit));
     out.set("bytecode_cache_hit",
             JsonValue::boolean(trace.bytecodeCacheHit));
+    out.set("result_cache_hit", JsonValue::boolean(trace.resultCacheHit));
     out.set("capture_seconds", JsonValue::number(trace.captureSeconds));
     out.set("compile_seconds", JsonValue::number(trace.compileSeconds));
     out.set("replay_seconds", JsonValue::number(trace.replaySeconds));

@@ -202,6 +202,10 @@ struct TraceStats
     /** The compiled program came out of the store warm: the
      *  trace->bytecode compile was skipped. */
     bool bytecodeCacheHit = false;
+    /** Every timed replay this call reports came out of the store
+     *  warm (ArtifactStore::replayResult): the cycles are an earlier
+     *  replay's, and the replay was skipped. */
+    bool resultCacheHit = false;
     double captureSeconds = 0;  ///< host wall-clock of the capture run
     /** Host wall-clock of the trace -> bytecode compile (0 when
      *  replayMode=event); paid once, amortized over both replays. */

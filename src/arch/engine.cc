@@ -436,12 +436,11 @@ Engine::nestedIntersect(StreamHandle s, streams::KeySpan s_keys,
     const StreamInfo &si = info(s);
     const Cycles start = std::max(issue, si.readyAt);
 
-    std::vector<Addr> info_addrs;
-    info_addrs.reserve(elems.size());
+    infoAddrs_.clear();
     for (const auto &elem : elems)
-        info_addrs.push_back(elem.infoAddr);
-    const std::vector<Cycles> ready =
-        translator_.translate(start, info_addrs, core_.mem());
+        infoAddrs_.push_back(elem.infoAddr);
+    const std::vector<Cycles> &ready =
+        translator_.translate(start, infoAddrs_, core_.mem());
 
     // Accumulator ADD micro-op per element.
     scalarOps(elems.size());

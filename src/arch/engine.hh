@@ -216,6 +216,8 @@ class Engine
     std::vector<StreamUnit> sus_;
     Svpu svpu_;
     NestTranslator translator_;
+    /** nestedIntersect()'s per-element info addresses, reused. */
+    std::vector<Addr> infoAddrs_;
 
     std::vector<StreamInfo> streams_;
     std::deque<OutstandingOp> rob_;

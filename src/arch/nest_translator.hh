@@ -50,11 +50,11 @@ class NestTranslator
      *        array entries) fetched through the load queue
      * @param mem hierarchy used for the info loads
      * @return per-element cycles at which each generated S_INTER.C is
-     *         ready to be scheduled
+     *         ready to be scheduled; valid until the next translate()
      */
-    std::vector<Cycles> translate(Cycles start,
-                                  const std::vector<Addr> &info_addrs,
-                                  sim::MemHierarchy &mem);
+    const std::vector<Cycles> &
+    translate(Cycles start, const std::vector<Addr> &info_addrs,
+              sim::MemHierarchy &mem);
 
     const NestTranslatorParams &params() const { return params_; }
     const StatSet &stats() const { return stats_; }
@@ -64,6 +64,8 @@ class NestTranslator
     StatSet stats_{"nest_translator"};
     Counter &elements_;
     Counter &instructions_;
+    /** translate()'s result, reused across calls. */
+    std::vector<Cycles> ready_;
 };
 
 } // namespace sc::arch

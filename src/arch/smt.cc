@@ -19,14 +19,13 @@ Smt::Smt(unsigned num_entries)
 std::optional<unsigned>
 Smt::define(std::uint64_t sid)
 {
-    auto it = defined_.find(sid);
-    if (it != defined_.end()) {
+    if (const auto found = lookup(sid)) {
         // §3.3: re-defining an active sid overwrites the mapping.
-        SmtEntry &e = entries_[it->second];
+        SmtEntry &e = entries_[*found];
         e.start = e.produced = false;
         e.pred0 = e.pred1 = noPred;
         ++redefines_;
-        return it->second;
+        return found;
     }
     for (unsigned i = 0; i < entries_.size(); ++i) {
         if (!entries_[i].va) {
@@ -35,7 +34,6 @@ Smt::define(std::uint64_t sid)
             e.vd = e.va = true;
             e.start = e.produced = false;
             e.pred0 = e.pred1 = noPred;
-            defined_[sid] = i;
             ++defines_;
             return i;
         }
@@ -47,12 +45,11 @@ Smt::define(std::uint64_t sid)
 void
 Smt::decodeFree(std::uint64_t sid)
 {
-    auto it = defined_.find(sid);
-    if (it == defined_.end())
+    const auto found = lookup(sid);
+    if (!found)
         panic("S_FREE of undefined stream id %llu",
               static_cast<unsigned long long>(sid));
-    entries_[it->second].vd = false;
-    defined_.erase(it);
+    entries_[*found].vd = false;
     ++frees_;
 }
 
@@ -71,8 +68,6 @@ Smt::spillOne()
 {
     for (unsigned i = 0; i < entries_.size(); ++i) {
         if (entries_[i].va) {
-            if (entries_[i].vd)
-                defined_.erase(entries_[i].sid);
             entries_[i].va = false;
             entries_[i].vd = false;
             ++spills_;
@@ -85,10 +80,12 @@ Smt::spillOne()
 std::optional<unsigned>
 Smt::lookup(std::uint64_t sid) const
 {
-    auto it = defined_.find(sid);
-    if (it == defined_.end())
-        return std::nullopt;
-    return it->second;
+    // At most one defined entry carries a sid: define() overwrites a
+    // defined sid's own entry instead of mapping a second one.
+    for (unsigned i = 0; i < entries_.size(); ++i)
+        if (entries_[i].vd && entries_[i].sid == sid)
+            return i;
+    return std::nullopt;
 }
 
 SmtEntry &

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -88,8 +87,9 @@ class Smt
     const StatSet &stats() const { return stats_; }
 
   private:
+    /** numStreamRegs entries: a sid maps to the one entry that is
+     *  defined (VD) with that sid, found by a scan. */
     std::vector<SmtEntry> entries_;
-    std::unordered_map<std::uint64_t, unsigned> defined_; // sid -> idx
     StatSet stats_{"smt"};
     Counter &defines_;
     Counter &redefines_;

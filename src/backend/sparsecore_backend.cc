@@ -135,12 +135,11 @@ SparseCoreBackend::nestedIntersect(BackendStream s,
         ExecBackend::nestedIntersect(s, s_keys, elems);
         return;
     }
-    std::vector<arch::NestedElem> arch_elems;
-    arch_elems.reserve(elems.size());
+    nestedElems_.clear();
     for (const auto &elem : elems)
-        arch_elems.push_back(
+        nestedElems_.push_back(
             {elem.infoAddr, elem.keyAddr, elem.nested, elem.bound});
-    engine_->nestedIntersect(s, s_keys, arch_elems);
+    engine_->nestedIntersect(s, s_keys, nestedElems_);
     scalarOps(1); // copy acc_reg to the destination
 }
 

@@ -90,6 +90,8 @@ class SparseCoreBackend final : public ExecBackend
     arch::SparseCoreConfig config_;
     std::shared_ptr<const streams::SuCostTable> suCosts_;
     std::unique_ptr<arch::Engine> engine_;
+    /** nestedIntersect()'s converted elements, reused. */
+    std::vector<arch::NestedElem> nestedElems_;
 };
 
 } // namespace sc::backend

@@ -286,11 +286,13 @@ TEST(ArtifactStore, StatsCoverEveryCache)
     store.summary(key, cached->trace, config);
     store.pressure(key, cached->trace);
     store.suCosts(key, *program, config.suWindow);
+    store.replayResult(key, *program, Substrate::Cpu, config);
 
     const ArtifactStoreStats stats = store.stats();
     for (const CacheStats *cache :
          {&stats.traces, &stats.programs, &stats.verdicts,
-          &stats.summaries, &stats.pressures, &stats.suCosts}) {
+          &stats.summaries, &stats.pressures, &stats.suCosts,
+          &stats.results}) {
         EXPECT_GT(cache->misses, 0u);
         EXPECT_GT(cache->entries, 0u);
         EXPECT_GT(cache->bytes, 0u);
@@ -299,12 +301,14 @@ TEST(ArtifactStore, StatsCoverEveryCache)
               stats.graphs.bytes + stats.labeledGraphs.bytes +
                   stats.traces.bytes + stats.programs.bytes +
                   stats.verdicts.bytes + stats.summaries.bytes +
-                  stats.pressures.bytes + stats.suCosts.bytes);
+                  stats.pressures.bytes + stats.suCosts.bytes +
+                  stats.results.bytes);
 
     const std::string line = stats.str();
     for (const char *name :
          {"graphs ", "labeled graphs ", "traces ", "programs ",
-          "verdicts ", "summaries ", "pressures ", "sucosts "})
+          "verdicts ", "summaries ", "pressures ", "sucosts ",
+          "results "})
         EXPECT_NE(line.find(std::string(" ") + name), std::string::npos)
             << name << " missing from: " << line;
     EXPECT_NE(line.find("resident " + std::to_string(stats.residentBytes()) +

@@ -365,7 +365,7 @@ TEST(SuCostTable, StorePathsMatchStoreOffCycles)
                   off_cmp.accelerated.breakdown.cycles);
         EXPECT_EQ(on_cmp.baseline.cycles, off_cmp.baseline.cycles);
     }
-    // One table per app: compare() reused the table run() built.
+    // One table per app: compare() reused the result run() built.
     EXPECT_EQ(store.stats().suCosts.misses - misses0, 2u);
 
     api::HostOptions host_on;
@@ -426,5 +426,8 @@ TEST(SuCostTable, ConcurrentLadderPointsShareOneTable)
     EXPECT_EQ(cycles[2], reference.accelerated.cycles); // 4 SUs: default
     const auto after = store.stats().suCosts;
     EXPECT_EQ(after.misses, before.misses);
-    EXPECT_EQ(after.hits - before.hits, 4u);
+    // The 4-SU point's SparseCore result is already resident (the
+    // reference compare built it), so only the other three replay
+    // and read the table.
+    EXPECT_EQ(after.hits - before.hits, 3u);
 }

@@ -126,10 +126,7 @@ trace::ReplayResult
 replayArtifacts(const GpmArtifacts &artifacts,
                 backend::ExecBackend &be)
 {
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(trace::ReplayMode::Auto);
-    if (!artifacts.key.empty() &&
-        mode == trace::ReplayMode::Bytecode) {
+    if (!artifacts.key.empty()) {
         const auto bc = api::ArtifactStore::global().program(
             artifacts.key, artifacts.cached->trace);
         return trace::replayCompiled(*bc, be, /*verify=*/false);

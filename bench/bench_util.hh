@@ -97,9 +97,9 @@ GpmArtifacts gpmArtifacts(gpm::GpmApp app, const graph::CsrGraph &g,
                           unsigned root_stride);
 
 /**
- * Replay one sweep point onto `be`. In Bytecode mode (the default)
- * the compiled program comes out of the store — compiled on the
- * first ladder configuration, a hit on every later one. Issues the
+ * Replay one sweep point onto `be`. With the store on, the compiled
+ * program comes out of it — compiled on the first ladder
+ * configuration, a hit on every later one. Issues the
  * same backend call sequence as trace::replay, so cycles never
  * depend on the store.
  */

@@ -1,9 +1,10 @@
 /**
  * @file
  * Trace-replay microbenchmark: host wall clock of the per-event
- * virtual walker (SC_REPLAY=event) versus the compiled-bytecode
- * devirtualized loops (SC_REPLAY=bytecode) on fig07-class GPM traces,
- * for every replay substrate. Simulated cycles are engine-invariant
+ * virtual walker (trace::replayEvents, the bit-identity reference)
+ * versus the compiled-bytecode devirtualized loops every production
+ * replay takes, on fig07-class GPM traces, for every replay
+ * substrate. Simulated cycles are engine-invariant
  * by construction (tests/trace_bytecode_test.cc pins bit-identity);
  * this bench measures the only thing the bytecode is allowed to move:
  * how fast the host re-walks a captured trace, and how quickly the
@@ -49,8 +50,7 @@ measureReplays(const trace::Trace &tr,
         auto backend = make();
         const auto r =
             bc ? trace::replayCompiled(*bc, *backend, false)
-               : trace::replay(tr, *backend, false,
-                               trace::ReplayMode::Event);
+               : trace::replayEvents(tr, *backend);
         *cycles = r.cycles;
         ++reps;
     } while ((seconds = timer.seconds()) < min_seconds || reps < 2);
@@ -77,8 +77,7 @@ main(int argc, char **argv)
     std::printf("==== replay microbench: event walker vs compiled "
                 "bytecode ====\n");
     std::printf("host wall clock only; cycles are checksummed across "
-                "engines (SC_REPLAY / RunOptions::replayMode select "
-                "the same paths)\n\n");
+                "engines\n\n");
 
     // Fig. 7-class workload: power-law graphs, the paper's headline
     // app set. The smoke graph keeps every leg under a second; the

@@ -19,9 +19,9 @@
  *   graph    dataset key (+ label count), owned by graph/datasets
  *
  * A trace is a pure function of (workload, dataset content, root
- * sampling) — the substrate, SparseCoreConfig, SIMD kernel level and
- * set-index policy all act at *replay* time — so one cached capture
- * serves every sweep point, substrate comparison and config ladder.
+ * sampling) — the substrate, SparseCoreConfig and SIMD kernel level
+ * all act at *replay* time — so one cached capture serves every sweep
+ * point, substrate comparison and config ladder.
  * Compiled programs key off the trace key plus the SCBC format
  * version, so a fig07–fig16 sweep compiles each (app, dataset)
  * exactly once and replays the shared program at every point.

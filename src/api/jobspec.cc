@@ -173,15 +173,8 @@ JobSpec::toJsonValue() const
     if (options.kernel)
         opts.set("kernel", JsonValue::str(streams::kernelLevelName(
                                *options.kernel)));
-    if (options.indexPolicy)
-        opts.set("index_policy",
-                 JsonValue::str(streams::setindex::indexPolicyName(
-                     *options.indexPolicy)));
     if (options.verify)
         opts.set("verify", JsonValue::boolean(*options.verify));
-    if (options.replayMode != trace::ReplayMode::Auto)
-        opts.set("replay", JsonValue::str(trace::replayModeName(
-                               options.replayMode)));
     if (options.artifactCache)
         opts.set("artifact_cache",
                  JsonValue::boolean(*options.artifactCache));
@@ -310,34 +303,19 @@ parseOptionsObject(const JsonValue &obj, RunOptions &options,
                 options.hostThreads = static_cast<unsigned>(u);
         } else if (name == "kernel") {
             if (reader.readChoice(name, value,
-                                  {"auto", "scalar", "sse", "avx2"},
-                                  s) &&
+                                  {"auto", "scalar", "avx2"}, s) &&
                 s != "auto")
                 options.kernel = streams::parseKernelLevel(s);
-        } else if (name == "index_policy") {
-            if (reader.readChoice(name, value,
-                                  {"auto", "array", "bitmap"}, s))
-                options.indexPolicy =
-                    streams::setindex::parseIndexPolicy(s);
         } else if (name == "verify") {
             if (reader.readBool(name, value, b))
                 options.verify = b;
-        } else if (name == "replay") {
-            if (reader.readChoice(name, value,
-                                  {"auto", "event", "bytecode"}, s)) {
-                if (s == "event")
-                    options.replayMode = trace::ReplayMode::Event;
-                else if (s == "bytecode")
-                    options.replayMode = trace::ReplayMode::Bytecode;
-            }
         } else if (name == "artifact_cache") {
             if (reader.readBool(name, value, b))
                 options.artifactCache = b;
         } else {
             diag(errors, reader.fieldPath(name),
                  "unknown field (options accepts stride, root_stride, "
-                 "host_threads, kernel, index_policy, verify, replay, "
-                 "artifact_cache)");
+                 "host_threads, kernel, verify, artifact_cache)");
         }
     }
 }

@@ -157,32 +157,14 @@ secondsBetween(std::chrono::steady_clock::time_point from,
     return std::chrono::duration<double>(to - from).count();
 }
 
-/** Store-backed verification for Event-mode replays: recall (or
- *  compute exactly once) the trace's verified bit and throw the same
- *  VerifyError trace::replay would. Callers then replay with
- *  verify=false; the verdict is settled entirely before any timing
- *  backend starts, so cycles are bit-identical either way. */
-void
-verifyViaStore(const std::string &key, const trace::Trace &tr,
-               std::optional<bool> verify)
-{
-    if (!verify.value_or(analysis::verifyByDefault()))
-        return;
-    const auto report =
-        ArtifactStore::global().verdict(key, tr, isa::numStreamRegs);
-    if (report->hasErrors())
-        throw analysis::VerifyError(report->format());
-}
-
 /**
  * The capture-once/replay-twice comparison core: the workload runs
  * functionally against a TraceRecorder once; the captured trace is
- * then replayed onto the CPU baseline and SparseCore concurrently on
- * `pool`. In Bytecode mode (the default) the trace is compiled once
- * and both substrates replay the shared program through the
- * devirtualized loops. The timing is bit-identical to running the
- * workload directly on each backend and identical across replay
- * modes (see tests/trace_test.cc).
+ * verified (when asked), compiled once, and the shared program is
+ * replayed onto the CPU baseline and SparseCore concurrently on
+ * `pool` through the devirtualized loops. The timing is
+ * bit-identical to running the workload directly on each backend
+ * (see tests/trace_test.cc).
  */
 template <typename CaptureFn>
 Comparison
@@ -190,74 +172,54 @@ compareViaTrace(const arch::SparseCoreConfig &config, ThreadPool &pool,
                 const RunOptions &options, CaptureFn &&capture)
 {
     Comparison cmp;
+    TraceStats &stats = cmp.trace.emplace();
     const auto t0 = std::chrono::steady_clock::now();
     trace::TraceRecorder recorder;
     cmp.functionalResult = capture(recorder);
     const trace::Trace tr = recorder.takeTrace();
     const auto t1 = std::chrono::steady_clock::now();
 
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(options.replayMode);
-    cmp.trace.replayMode = trace::replayModeName(mode);
-
-    trace::ReplayResult cpu, sc;
-    auto t2 = t1;
-    if (mode == trace::ReplayMode::Bytecode) {
-        // Verify the trace once up front (the compile preserves event
-        // order), compile once, replay the shared program twice.
-        if (options.verify.value_or(analysis::verifyByDefault())) {
-            const analysis::VerifyReport report =
-                analysis::verifyTrace(tr);
-            if (report.hasErrors())
-                throw analysis::VerifyError(report.format());
-        }
-        const trace::BytecodeProgram bc = trace::compileTrace(tr);
-        t2 = std::chrono::steady_clock::now();
-        cmp.trace.bytecodeBytes = bc.codeBytes();
-        cmp.trace.compileSeconds = secondsBetween(t1, t2);
-        parallelInvoke(
-            pool,
-            [&] {
-                backend::CpuBackend be(config.core, config.mem);
-                cpu = trace::replayCompiled(bc, be, /*verify=*/false);
-            },
-            [&] {
-                backend::SparseCoreBackend be(config);
-                sc = trace::replayCompiled(bc, be, /*verify=*/false);
-            });
-    } else {
-        parallelInvoke(
-            pool,
-            [&] {
-                backend::CpuBackend be(config.core, config.mem);
-                cpu = trace::replay(tr, be, options.verify,
-                                    trace::ReplayMode::Event);
-            },
-            [&] {
-                backend::SparseCoreBackend be(config);
-                sc = trace::replay(tr, be, options.verify,
-                                   trace::ReplayMode::Event);
-            });
+    // Verify the trace once up front (the compile preserves event
+    // order), compile once, replay the shared program twice.
+    if (options.verify.value_or(analysis::verifyByDefault())) {
+        const analysis::VerifyReport report = analysis::verifyTrace(tr);
+        if (report.hasErrors())
+            throw analysis::VerifyError(report.format());
     }
+    const trace::BytecodeProgram bc = trace::compileTrace(tr);
+    const auto t2 = std::chrono::steady_clock::now();
+    trace::ReplayResult cpu, sc;
+    parallelInvoke(
+        pool,
+        [&] {
+            backend::CpuBackend be(config.core, config.mem);
+            cpu = trace::replayCompiled(bc, be, /*verify=*/false);
+        },
+        [&] {
+            backend::SparseCoreBackend be(config);
+            sc = trace::replayCompiled(bc, be, /*verify=*/false);
+        });
     const auto t3 = std::chrono::steady_clock::now();
 
     cmp.baseline = {"cpu", cpu.cycles, cpu.breakdown};
     cmp.accelerated = {"sparsecore", sc.cycles, sc.breakdown};
-    cmp.trace.events = tr.numEvents();
-    cmp.trace.arenaBytes = tr.arenaBytes();
-    cmp.trace.captureSeconds = secondsBetween(t0, t1);
-    cmp.trace.replaySeconds = secondsBetween(t2, t3);
+    stats.events = tr.numEvents();
+    stats.arenaBytes = tr.arenaBytes();
+    stats.bytecodeBytes = bc.codeBytes();
+    stats.captureSeconds = secondsBetween(t0, t1);
+    stats.compileSeconds = secondsBetween(t1, t2);
+    stats.replaySeconds = secondsBetween(t2, t3);
     return cmp;
 }
 
 /**
- * The store-backed comparison core: the trace (and in Bytecode mode
- * the compiled program and both replay results) comes out of the
- * shared ArtifactStore, so a sweep of compare() calls over one (app,
- * dataset) captures and compiles exactly once, replays the CPU
- * baseline once and each SparseCore point once. A miss issues the
- * identical replay calls as compareViaTrace and a hit returns an
- * earlier miss's result, so cycles are bit-identical either way.
+ * The store-backed comparison core: the trace, the compiled program
+ * and both replay results come out of the shared ArtifactStore, so a
+ * sweep of compare() calls over one (app, dataset) captures and
+ * compiles exactly once, replays the CPU baseline once and each
+ * SparseCore point once. A miss issues the identical replay calls as
+ * compareViaTrace and a hit returns an earlier miss's result, so
+ * cycles are bit-identical either way.
  */
 Comparison
 compareViaStore(const arch::SparseCoreConfig &config, ThreadPool &pool,
@@ -265,66 +227,44 @@ compareViaStore(const arch::SparseCoreConfig &config, ThreadPool &pool,
                 const std::string &key)
 {
     Comparison cmp;
+    TraceStats &stats = cmp.trace.emplace();
     const auto t0 = std::chrono::steady_clock::now();
-    const auto cached = storeTrace(req, key, &cmp.trace.traceCacheHit);
+    const auto cached = storeTrace(req, key, &stats.traceCacheHit);
     cmp.functionalResult = cached->functionalResult;
     const trace::Trace &tr = cached->trace;
     const auto t1 = std::chrono::steady_clock::now();
 
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(options.replayMode);
-    cmp.trace.replayMode = trace::replayModeName(mode);
-
+    bool compiled = false;
+    const auto bc = ArtifactStore::global().program(
+        key, tr, options.verify, &compiled);
+    const auto t2 = std::chrono::steady_clock::now();
+    // Each substrate's result comes out of the store: the CPU
+    // baseline is shared by every arch point of the program.
     trace::ReplayResult cpu, sc;
-    auto t2 = t1;
-    if (mode == trace::ReplayMode::Bytecode) {
-        bool compiled = false;
-        const auto bc = ArtifactStore::global().program(
-            key, tr, options.verify, &compiled);
-        cmp.trace.bytecodeCacheHit = !compiled;
-        t2 = std::chrono::steady_clock::now();
-        cmp.trace.bytecodeBytes = bc->codeBytes();
-        cmp.trace.compileSeconds =
-            cmp.trace.bytecodeCacheHit ? 0 : secondsBetween(t1, t2);
-        // Each substrate's result comes out of the store: the CPU
-        // baseline is shared by every arch point of the program.
-        bool cpu_replayed = false, sc_replayed = false;
-        parallelInvoke(
-            pool,
-            [&] {
-                cpu = *ArtifactStore::global().replayResult(
-                    key, *bc, Substrate::Cpu, config, &cpu_replayed);
-            },
-            [&] {
-                sc = *ArtifactStore::global().replayResult(
-                    key, *bc, Substrate::SparseCore, config,
-                    &sc_replayed);
-            });
-        cmp.trace.resultCacheHit = !cpu_replayed && !sc_replayed;
-    } else {
-        verifyViaStore(key, tr, options.verify);
-        parallelInvoke(
-            pool,
-            [&] {
-                backend::CpuBackend be(config.core, config.mem);
-                cpu = trace::replay(tr, be, /*verify=*/false,
-                                    trace::ReplayMode::Event);
-            },
-            [&] {
-                backend::SparseCoreBackend be(config);
-                sc = trace::replay(tr, be, /*verify=*/false,
-                                   trace::ReplayMode::Event);
-            });
-    }
+    bool cpu_replayed = false, sc_replayed = false;
+    parallelInvoke(
+        pool,
+        [&] {
+            cpu = *ArtifactStore::global().replayResult(
+                key, *bc, Substrate::Cpu, config, &cpu_replayed);
+        },
+        [&] {
+            sc = *ArtifactStore::global().replayResult(
+                key, *bc, Substrate::SparseCore, config, &sc_replayed);
+        });
     const auto t3 = std::chrono::steady_clock::now();
 
     cmp.baseline = {"cpu", cpu.cycles, cpu.breakdown};
     cmp.accelerated = {"sparsecore", sc.cycles, sc.breakdown};
-    cmp.trace.events = tr.numEvents();
-    cmp.trace.arenaBytes = tr.arenaBytes();
-    cmp.trace.captureSeconds =
-        cmp.trace.traceCacheHit ? 0 : secondsBetween(t0, t1);
-    cmp.trace.replaySeconds = secondsBetween(t2, t3);
+    stats.events = tr.numEvents();
+    stats.arenaBytes = tr.arenaBytes();
+    stats.bytecodeBytes = bc->codeBytes();
+    stats.bytecodeCacheHit = !compiled;
+    stats.resultCacheHit = !cpu_replayed && !sc_replayed;
+    stats.captureSeconds =
+        stats.traceCacheHit ? 0 : secondsBetween(t0, t1);
+    stats.compileSeconds = compiled ? secondsBetween(t1, t2) : 0;
+    stats.replaySeconds = secondsBetween(t2, t3);
     return cmp;
 }
 
@@ -341,18 +281,14 @@ Machine::run(const RunRequest &request, Substrate substrate) const
     std::optional<streams::ScopedKernelOverride> forced;
     if (request.options.kernel)
         forced.emplace(*request.options.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (request.options.indexPolicy)
-        forced_index.emplace(*request.options.indexPolicy);
 
     const bool verify =
         request.options.verify.value_or(analysis::verifyByDefault());
 
     // Store-backed path: capture (or reuse) the content-keyed trace
     // and replay it onto the requested substrate — a warm run skips
-    // the functional enumeration and the compile, and in Bytecode
-    // mode a replay of the same program and timing config too.
+    // the functional enumeration, the compile, and a replay of the
+    // same program and timing config too.
     // Replay is bit-identical to direct execution (the PR-2
     // invariant), so this only moves host wall-clock. Trace-level
     // verification replaces the live VerifyingBackend wrapper here:
@@ -364,47 +300,30 @@ Machine::run(const RunRequest &request, Substrate substrate) const
             : std::string{};
     if (!key.empty()) {
         RunResult out;
+        TraceStats &stats = out.trace.emplace();
         const auto t0 = std::chrono::steady_clock::now();
         const auto cached =
-            storeTrace(request, key, &out.trace.traceCacheHit);
+            storeTrace(request, key, &stats.traceCacheHit);
         const trace::Trace &tr = cached->trace;
         const auto t1 = std::chrono::steady_clock::now();
-        const trace::ReplayMode mode =
-            trace::resolveReplayMode(request.options.replayMode);
-        out.trace.replayMode = trace::replayModeName(mode);
-        out.trace.events = tr.numEvents();
-        out.trace.arenaBytes = tr.arenaBytes();
-        out.trace.captureSeconds = out.trace.traceCacheHit
-                                       ? 0
-                                       : secondsBetween(t0, t1);
-        trace::ReplayResult rep;
-        auto t2 = t1;
-        if (mode == trace::ReplayMode::Bytecode) {
-            bool compiled = false;
-            const auto bc = ArtifactStore::global().program(
-                key, tr, request.options.verify, &compiled);
-            out.trace.bytecodeCacheHit = !compiled;
-            t2 = std::chrono::steady_clock::now();
-            out.trace.bytecodeBytes = bc->codeBytes();
-            out.trace.compileSeconds =
-                compiled ? secondsBetween(t1, t2) : 0;
-            bool replayed = false;
-            rep = *ArtifactStore::global().replayResult(
-                key, *bc, substrate, config_, &replayed);
-            out.trace.resultCacheHit = !replayed;
-        } else if (substrate == Substrate::Cpu) {
-            verifyViaStore(key, tr, request.options.verify);
-            backend::CpuBackend be(config_.core, config_.mem);
-            rep = trace::replay(tr, be, /*verify=*/false,
-                                trace::ReplayMode::Event);
-        } else {
-            verifyViaStore(key, tr, request.options.verify);
-            backend::SparseCoreBackend be(config_);
-            rep = trace::replay(tr, be, /*verify=*/false,
-                                trace::ReplayMode::Event);
-        }
-        out.trace.replaySeconds = secondsBetween(
-            t2, std::chrono::steady_clock::now());
+        bool compiled = false;
+        const auto bc = ArtifactStore::global().program(
+            key, tr, request.options.verify, &compiled);
+        const auto t2 = std::chrono::steady_clock::now();
+        bool replayed = false;
+        const trace::ReplayResult rep =
+            *ArtifactStore::global().replayResult(key, *bc, substrate,
+                                                  config_, &replayed);
+        stats.events = tr.numEvents();
+        stats.arenaBytes = tr.arenaBytes();
+        stats.bytecodeBytes = bc->codeBytes();
+        stats.bytecodeCacheHit = !compiled;
+        stats.resultCacheHit = !replayed;
+        stats.captureSeconds =
+            stats.traceCacheHit ? 0 : secondsBetween(t0, t1);
+        stats.compileSeconds = compiled ? secondsBetween(t1, t2) : 0;
+        stats.replaySeconds =
+            secondsBetween(t2, std::chrono::steady_clock::now());
         out.functionalResult = cached->functionalResult;
         out.cycles = rep.cycles;
         out.breakdown = rep.breakdown;
@@ -437,10 +356,6 @@ Machine::compare(const RunRequest &request) const
     std::optional<streams::ScopedKernelOverride> forced;
     if (request.options.kernel)
         forced.emplace(*request.options.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (request.options.indexPolicy)
-        forced_index.emplace(*request.options.indexPolicy);
 
     std::optional<ThreadPool> local;
     if (request.options.hostThreads)

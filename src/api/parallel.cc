@@ -55,9 +55,9 @@ captureChunk(const std::vector<gpm::MiningPlan> &plans,
 /**
  * The host-parallel miner shared by both substrates.
  * make_backend(key, bc) builds one chunk's backend: on the
- * store-backed bytecode path `bc` is the chunk's stored program and
- * `key` its trace key (so SparseCore can attach the store's SU-cost
- * table); elsewhere `bc` is null.
+ * store-backed path `bc` is the chunk's stored program and `key` its
+ * trace key (so SparseCore can attach the store's SU-cost table);
+ * with the store off `bc` is null.
  */
 template <typename MakeBackend>
 ParallelGpmResult
@@ -71,10 +71,6 @@ mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
     std::optional<streams::ScopedKernelOverride> forced;
     if (host.kernel)
         forced.emplace(*host.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (host.indexPolicy)
-        forced_index.emplace(*host.indexPolicy);
 
     // K * num_cores chunks, stolen dynamically by the host threads.
     // Chunk m is attributed to simulated core m % num_cores. Each
@@ -84,8 +80,6 @@ mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
     const unsigned k = std::max(1u, host.chunksPerCore);
     const unsigned num_chunks = num_cores * k;
 
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(host.replayMode);
     const bool use_store =
         ArtifactStore::resolveEnabled(host.artifactCache);
     const auto runs = parallelMap<ChunkRun>(
@@ -108,18 +102,11 @@ mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
                                    num_chunks, root_stride, recorder)
                             .embeddings;
                     });
-                trace::ReplayResult rep;
-                if (mode == trace::ReplayMode::Bytecode) {
-                    const auto bc = store.program(key, cached->trace);
-                    auto backend = make_backend(key, bc.get());
-                    rep = trace::replayCompiled(*bc, *backend, false);
-                } else {
-                    auto backend = make_backend(key, nullptr);
-                    rep = trace::replay(cached->trace, *backend,
-                                        std::nullopt,
-                                        trace::ReplayMode::Event);
-                }
-                return ChunkRun{cached->functionalResult, rep.cycles};
+                const auto bc = store.program(key, cached->trace);
+                auto backend = make_backend(key, bc.get());
+                return ChunkRun{
+                    cached->functionalResult,
+                    trace::replayCompiled(*bc, *backend, false).cycles};
             }
             trace::TraceRecorder recorder;
             const auto run =
@@ -127,9 +114,8 @@ mineParallel(gpm::GpmApp app, const graph::CsrGraph &g,
                              num_chunks, root_stride, recorder);
             const trace::Trace tr = recorder.takeTrace();
             auto backend = make_backend(std::string{}, nullptr);
-            const auto rep =
-                trace::replay(tr, *backend, std::nullopt, mode);
-            return ChunkRun{run.embeddings, rep.cycles};
+            return ChunkRun{run.embeddings,
+                            trace::replay(tr, *backend).cycles};
         });
 
     // Ordered reduction: chunk-index order, fixed chunk→core cycle
@@ -189,10 +175,6 @@ compareParallelGpm(gpm::GpmApp app, const graph::CsrGraph &g,
     std::optional<streams::ScopedKernelOverride> forced;
     if (host.kernel)
         forced.emplace(*host.kernel);
-    std::optional<streams::setindex::ScopedIndexPolicyOverride>
-        forced_index;
-    if (host.indexPolicy)
-        forced_index.emplace(*host.indexPolicy);
     const unsigned k = std::max(1u, host.chunksPerCore);
     const unsigned num_chunks = num_cores * k;
 
@@ -205,11 +187,8 @@ compareParallelGpm(gpm::GpmApp app, const graph::CsrGraph &g,
 
     // One capture per chunk; the trace replays onto both substrates
     // within the same host task, so the chunk outcome stays a pure
-    // function of the chunk index. In Bytecode mode the chunk
-    // compiles its trace once and both substrates replay the shared
-    // program.
-    const trace::ReplayMode mode =
-        trace::resolveReplayMode(host.replayMode);
+    // function of the chunk index. The chunk compiles its trace once
+    // and both substrates replay the shared program.
     const bool use_store =
         ArtifactStore::resolveEnabled(host.artifactCache);
     const auto runs = parallelMap<ChunkCompare>(
@@ -228,52 +207,33 @@ compareParallelGpm(gpm::GpmApp app, const graph::CsrGraph &g,
                                    num_chunks, root_stride, recorder)
                             .embeddings;
                     });
+                const auto bc = store.program(key, cached->trace);
                 backend::CpuBackend cpu(config.core, config.mem);
-                if (mode == trace::ReplayMode::Bytecode) {
-                    const auto bc = store.program(key, cached->trace);
-                    backend::SparseCoreBackend sc(
-                        config,
-                        store.suCosts(key, *bc, config.suWindow));
-                    return ChunkCompare{
-                        cached->functionalResult,
-                        trace::replayCompiled(*bc, cpu, false).cycles,
-                        trace::replayCompiled(*bc, sc, false).cycles};
-                }
-                backend::SparseCoreBackend sc(config);
+                backend::SparseCoreBackend sc(
+                    config, store.suCosts(key, *bc, config.suWindow));
                 return ChunkCompare{
                     cached->functionalResult,
-                    trace::replay(cached->trace, cpu, std::nullopt,
-                                  trace::ReplayMode::Event)
-                        .cycles,
-                    trace::replay(cached->trace, sc, std::nullopt,
-                                  trace::ReplayMode::Event)
-                        .cycles};
+                    trace::replayCompiled(*bc, cpu, false).cycles,
+                    trace::replayCompiled(*bc, sc, false).cycles};
             }
             trace::TraceRecorder recorder;
             const auto run =
                 captureChunk(plans, g, static_cast<unsigned>(chunk),
                              num_chunks, root_stride, recorder);
             const trace::Trace tr = recorder.takeTrace();
+            if (analysis::verifyByDefault()) {
+                const analysis::VerifyReport report =
+                    analysis::verifyTrace(tr);
+                if (report.hasErrors())
+                    throw analysis::VerifyError(report.format());
+            }
+            const trace::BytecodeProgram bc = trace::compileTrace(tr);
             backend::CpuBackend cpu(config.core, config.mem);
             backend::SparseCoreBackend sc(config);
-            if (mode == trace::ReplayMode::Bytecode) {
-                if (analysis::verifyByDefault()) {
-                    const analysis::VerifyReport report =
-                        analysis::verifyTrace(tr);
-                    if (report.hasErrors())
-                        throw analysis::VerifyError(report.format());
-                }
-                const trace::BytecodeProgram bc =
-                    trace::compileTrace(tr);
-                return ChunkCompare{
-                    run.embeddings,
-                    trace::replayCompiled(bc, cpu, false).cycles,
-                    trace::replayCompiled(bc, sc, false).cycles};
-            }
             return ChunkCompare{
                 run.embeddings,
-                trace::replay(tr, cpu, std::nullopt, mode).cycles,
-                trace::replay(tr, sc, std::nullopt, mode).cycles};
+                trace::replayCompiled(bc, cpu, false).cycles,
+                trace::replayCompiled(bc, sc, false).cycles};
         });
 
     ParallelComparison cmp;

@@ -28,9 +28,7 @@
 #include "arch/config.hh"
 #include "common/thread_pool.hh"
 #include "gpm/apps.hh"
-#include "streams/setindex/policy.hh"
 #include "streams/simd/kernel_table.hh"
-#include "trace/replay.hh"
 
 namespace sc::api {
 
@@ -74,20 +72,6 @@ struct HostOptions
      * host wall-clock), which tests/kernel_table_test.cc asserts.
      */
     std::optional<streams::KernelLevel> kernel;
-    /**
-     * Hybrid set-index policy for this run (nullopt = process
-     * default). Same contract as `kernel`: scoped for the whole run,
-     * moves host wall-clock only (tests/set_index_test.cc asserts
-     * the cycle invariance).
-     */
-    std::optional<streams::setindex::IndexPolicy> indexPolicy;
-    /**
-     * Replay engine for the per-chunk replays (same contract as
-     * RunOptions::replayMode): Auto resolves from SC_REPLAY, default
-     * Bytecode. Moves host wall-clock only, never simulated cycles —
-     * tests/parallel_test.cc asserts the cycle identity.
-     */
-    trace::ReplayMode replayMode = trace::ReplayMode::Auto;
     /**
      * Share per-chunk traces and compiled bytecode across runs
      * through the content-keyed ArtifactStore (same contract as

@@ -68,7 +68,6 @@ jsonValue(const TraceStats &trace)
             JsonValue::number(std::uint64_t{trace.arenaBytes}));
     out.set("bytecode_bytes",
             JsonValue::number(std::uint64_t{trace.bytecodeBytes}));
-    out.set("replay_mode", JsonValue::str(trace.replayMode));
     out.set("trace_cache_hit", JsonValue::boolean(trace.traceCacheHit));
     out.set("bytecode_cache_hit",
             JsonValue::boolean(trace.bytecodeCacheHit));
@@ -97,8 +96,8 @@ jsonValue(const RunResult &result)
             JsonValue::number(std::uint64_t{result.functionalResult}));
     out.set("cycles", JsonValue::number(std::uint64_t{result.cycles}));
     out.set("breakdown", jsonValue(result.breakdown));
-    if (!result.trace.replayMode.empty())
-        out.set("trace", jsonValue(result.trace));
+    if (result.trace)
+        out.set("trace", jsonValue(*result.trace));
     return out;
 }
 
@@ -111,8 +110,8 @@ jsonValue(const Comparison &comparison)
     out.set("cpu", jsonValue(comparison.baseline));
     out.set("sparsecore", jsonValue(comparison.accelerated));
     out.set("speedup", JsonValue::number(comparison.speedup()));
-    if (!comparison.trace.replayMode.empty())
-        out.set("trace", jsonValue(comparison.trace));
+    if (comparison.trace)
+        out.set("trace", jsonValue(*comparison.trace));
     return out;
 }
 
@@ -126,28 +125,22 @@ Comparison::str() const
     os << accelerated.substrate << ": " << accelerated.cycles
        << " cycles  [" << breakdownStr(accelerated.breakdown) << "]\n";
     os << "speedup: " << Table::speedup(speedup()) << "\n";
-    if (trace.events) {
-        os << "trace: " << trace.events << " events, "
-           << trace.arenaBytes << " arena bytes, ";
-        if (trace.traceCacheHit)
+    if (trace) {
+        os << "trace: " << trace->events << " events, "
+           << trace->arenaBytes << " arena bytes, ";
+        if (trace->traceCacheHit)
             os << "capture skipped (store hit)";
         else
             os << "capture "
-               << Table::num(trace.captureSeconds * 1e3, 1) << " ms";
-        os << ", replay " << Table::num(trace.replaySeconds * 1e3, 1)
-           << " ms";
-        if (!trace.replayMode.empty())
-            os << " (" << trace.replayMode << ")";
-        os << "\n";
-        if (trace.bytecodeBytes) {
-            os << "bytecode: " << trace.bytecodeBytes << " bytes, ";
-            if (trace.bytecodeCacheHit)
-                os << "compile skipped (store hit)\n";
-            else
-                os << "compile "
-                   << Table::num(trace.compileSeconds * 1e3, 1)
-                   << " ms\n";
-        }
+               << Table::num(trace->captureSeconds * 1e3, 1) << " ms";
+        os << ", replay " << Table::num(trace->replaySeconds * 1e3, 1)
+           << " ms\n";
+        os << "bytecode: " << trace->bytecodeBytes << " bytes, ";
+        if (trace->bytecodeCacheHit)
+            os << "compile skipped (store hit)\n";
+        else
+            os << "compile "
+               << Table::num(trace->compileSeconds * 1e3, 1) << " ms\n";
     }
     return os.str();
 }

@@ -8,6 +8,7 @@
 #define SPARSECORE_API_REPORT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "api/run.hh"
@@ -30,7 +31,9 @@ struct Comparison
     std::uint64_t functionalResult = 0; ///< count / checksum
     SubstrateResult baseline;
     SubstrateResult accelerated;
-    TraceStats trace; ///< zeroed when the run was not trace-driven
+    /** Capture/replay stats; nullopt when the comparison was not
+     *  trace-driven. */
+    std::optional<TraceStats> trace;
 
     double
     speedup() const

@@ -28,11 +28,9 @@
 #include "graph/labeled_graph.hh"
 #include "kernels/spmspm.hh"
 #include "sim/core_model.hh"
-#include "streams/setindex/policy.hh"
 #include "streams/simd/kernel_table.hh"
 #include "tensor/csf_tensor.hh"
 #include "tensor/sparse_matrix.hh"
-#include "trace/replay.hh"
 
 namespace sc::api {
 
@@ -55,11 +53,6 @@ struct RunOptions
     /** Host set-op kernel level override (nullopt = process
      *  default); moves wall-clock only, never simulated cycles. */
     std::optional<streams::KernelLevel> kernel;
-    /** Hybrid set-index policy override (auto / array-only / bitmap;
-     *  nullopt = process default, i.e. SC_FORCE_SETINDEX or auto).
-     *  Like `kernel`, moves wall-clock only, never simulated
-     *  cycles. */
-    std::optional<streams::setindex::IndexPolicy> indexPolicy;
     /**
      * Run the stream-lifetime verifier (analysis/) over the backend
      * event stream and throw analysis::VerifyError on violations.
@@ -68,16 +61,6 @@ struct RunOptions
      * the backend transparently and never changes simulated cycles.
      */
     std::optional<bool> verify;
-    /**
-     * Replay engine for compare()'s trace-driven legs: Auto resolves
-     * from SC_REPLAY (default Bytecode — the trace compiles once and
-     * both substrates replay the devirtualized bytecode loop); Event
-     * forces the original per-event walker. Both engines issue the
-     * identical backend call sequence, so simulated cycles never
-     * depend on this — it only moves host wall-clock (the A/B
-     * escape hatch tests/trace_test.cc pins).
-     */
-    trace::ReplayMode replayMode = trace::ReplayMode::Auto;
     /**
      * Share captured traces and compiled bytecode across run()/
      * compare() calls through the content-keyed ArtifactStore
@@ -192,10 +175,7 @@ struct TraceStats
 {
     std::size_t events = 0;     ///< captured events
     std::size_t arenaBytes = 0; ///< interned key-arena bytes
-    /** Compiled bytecode program bytes (0 when replayMode=event). */
-    std::size_t bytecodeBytes = 0;
-    /** Replay engine used: "event" or "bytecode". */
-    std::string replayMode;
+    std::size_t bytecodeBytes = 0; ///< compiled bytecode program bytes
     /** The trace came out of the ArtifactStore warm: the functional
      *  capture run was skipped entirely. */
     bool traceCacheHit = false;
@@ -207,8 +187,8 @@ struct TraceStats
      *  replay's, and the replay was skipped. */
     bool resultCacheHit = false;
     double captureSeconds = 0;  ///< host wall-clock of the capture run
-    /** Host wall-clock of the trace -> bytecode compile (0 when
-     *  replayMode=event); paid once, amortized over both replays. */
+    /** Host wall-clock of the trace -> bytecode compile (0 on a
+     *  store hit); paid once, amortized over both replays. */
     double compileSeconds = 0;
     double replaySeconds = 0;   ///< host wall-clock of the replay(s)
 };
@@ -221,9 +201,9 @@ struct RunResult
     std::uint64_t functionalResult = 0;
     Cycles cycles = 0;
     sim::CycleBreakdown breakdown;
-    /** Capture/replay stats when the run was store-backed; zeroed
-     *  (empty replayMode) on the direct-execution cold path. */
-    TraceStats trace;
+    /** Capture/replay stats when the run was store-backed; nullopt
+     *  on the direct-execution cold path. */
+    std::optional<TraceStats> trace;
 };
 
 } // namespace sc::api

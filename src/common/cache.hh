@@ -5,9 +5,9 @@
  * shared_ptr-owned values with LRU eviction, pinning and hit/miss/
  * evict counters.
  *
- * Every expensive artifact the system builds — generated graphs with
- * their stream set index, captured execution traces, compiled SCBC
- * programs — shares one lifecycle: built at most once per content key
+ * Every expensive artifact the system builds — generated graphs,
+ * captured execution traces, compiled SCBC programs — shares one
+ * lifecycle: built at most once per content key
  * (concurrent requests for the same key wait on the first builder
  * instead of duplicating work), held by shared_ptr so eviction can
  * never invalidate an artifact a caller is still using, and evicted

@@ -35,13 +35,6 @@ loadConfig(
 {
     Config cfg;
 
-    if (const auto v = lookup("SC_REPLAY")) {
-        if (!oneOf(*v, {"auto", "event", "bytecode"}))
-            fatal("SC_REPLAY='%s' (expected auto|event|bytecode)",
-                  v->c_str());
-        cfg.replay = *v;
-    }
-
     if (const auto v = lookup("SC_JOB_SCHED")) {
         if (!oneOf(*v, {"fifo", "affinity"}))
             fatal("SC_JOB_SCHED='%s' (expected fifo|affinity)",
@@ -83,20 +76,11 @@ loadConfig(
     }
 
     if (const auto v = lookup("SC_FORCE_KERNEL")) {
-        if (oneOf(*v, {"auto", "scalar", "sse", "avx2"}))
+        if (oneOf(*v, {"auto", "scalar", "avx2"}))
             cfg.forceKernel = *v;
         else
             warn("SC_FORCE_KERNEL='%s' not recognized "
-                 "(want scalar|sse|avx2|auto); auto-detecting",
-                 v->c_str());
-    }
-
-    if (const auto v = lookup("SC_FORCE_SETINDEX")) {
-        if (oneOf(*v, {"auto", "array", "bitmap"}))
-            cfg.forceSetindex = *v;
-        else
-            warn("SC_FORCE_SETINDEX='%s' not recognized "
-                 "(want auto|array|bitmap); using auto",
+                 "(want scalar|avx2|auto); auto-detecting",
                  v->c_str());
     }
 
@@ -132,10 +116,6 @@ describeConfig()
     };
     std::vector<ConfigKnob> knobs;
     knobs.push_back(row(
-        "SC_REPLAY", cfg.replay, set("SC_REPLAY"),
-        "auto|event|bytecode",
-        "trace replay engine (auto = bytecode)"));
-    knobs.push_back(row(
         "SC_JOB_SCHED", cfg.jobSched, set("SC_JOB_SCHED"),
         "fifo|affinity",
         "JobQueue scheduling policy (affinity parks cold-dataset "
@@ -161,11 +141,7 @@ describeConfig()
         "host pool size (auto = hardware concurrency)"));
     knobs.push_back(row(
         "SC_FORCE_KERNEL", cfg.forceKernel, set("SC_FORCE_KERNEL"),
-        "auto|scalar|sse|avx2", "host SIMD set-op kernel level"));
-    knobs.push_back(row(
-        "SC_FORCE_SETINDEX", cfg.forceSetindex,
-        set("SC_FORCE_SETINDEX"), "auto|array|bitmap",
-        "hybrid set-index policy"));
+        "auto|scalar|avx2", "host SIMD set-op kernel level"));
     knobs.push_back(row(
         "SC_BENCH_DIR", cfg.benchDir, set("SC_BENCH_DIR"), "<dir>",
         "directory BENCH_*.json reports land in"));

@@ -15,23 +15,23 @@
  *
  * The knobs:
  *
- *   SC_REPLAY              auto|event|bytecode   trace replay engine
  *   SC_JOB_SCHED           fifo|affinity         JobQueue scheduling policy
  *   SC_VERIFY              0|1                   stream-lifetime verifier
  *   SC_ARTIFACT_CACHE      off|on|0|1            content-keyed store
  *   SC_ARTIFACT_CACHE_BYTES <bytes>              per-cache LRU budget
  *   SC_HOST_THREADS        1..1024               host pool size
- *   SC_FORCE_KERNEL        auto|scalar|sse|avx2  SIMD set-op kernels
- *   SC_FORCE_SETINDEX      auto|array|bitmap     hybrid set index
+ *   SC_FORCE_KERNEL        auto|scalar|avx2      SIMD set-op kernels
  *   SC_BENCH_DIR           <dir>                 BENCH_*.json directory
  *   SC_BENCH_SMOKE         0|1                   tiny CI sweep points
  *
  * Enum-valued knobs are stored as validated lowercase strings and
- * mapped to their enums by the owning subsystem (trace/replay.cc,
- * streams/...), keeping this layer dependency-free. Numeric and
+ * mapped to their enums by the owning subsystem (api/job_queue.cc,
+ * streams/simd/...), keeping this layer dependency-free. Numeric and
  * boolean knobs are parsed here with the same error behavior the
  * scattered call sites had (fatal() on nonsense byte counts, warn +
- * fallback on a bad thread count).
+ * fallback on a bad thread count). Names not listed above are never
+ * read, so an environment that still exports a retired knob runs
+ * unaffected.
  */
 
 #ifndef SPARSECORE_COMMON_CONFIG_HH
@@ -48,8 +48,6 @@ namespace sc {
 /** Resolved process-wide defaults for every SC_* knob. */
 struct Config
 {
-    /** SC_REPLAY: "auto" (= bytecode), "event" or "bytecode". */
-    std::string replay = "auto";
     /** SC_JOB_SCHED: "fifo" or "affinity" (the default). */
     std::string jobSched = "affinity";
     /** SC_VERIFY: nullopt = build-type default (debug on). */
@@ -60,10 +58,8 @@ struct Config
     std::size_t artifactCacheBytes = std::size_t{1} << 30;
     /** SC_HOST_THREADS: 0 = hardware_concurrency(). */
     unsigned hostThreads = 0;
-    /** SC_FORCE_KERNEL: "auto", "scalar", "sse" or "avx2". */
+    /** SC_FORCE_KERNEL: "auto", "scalar" or "avx2". */
     std::string forceKernel = "auto";
-    /** SC_FORCE_SETINDEX: "auto", "array" or "bitmap". */
-    std::string forceSetindex = "auto";
     /** SC_BENCH_DIR: where BENCH_*.json reports land. */
     std::string benchDir = "bench_results";
     /** SC_BENCH_SMOKE: shrink bench sweep targets 64x for CI. */

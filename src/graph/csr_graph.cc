@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "streams/setindex/registry.hh"
 
 namespace sc::graph {
 
@@ -51,89 +50,6 @@ CsrGraph::CsrGraph(std::vector<std::uint64_t> offsets,
     for (const VertexId e : edges_)
         mix(e);
     fingerprint_ = h;
-
-    index_ = streams::setindex::StreamSetIndex::build(offsets_, edges_);
-    registerSetIndex();
-}
-
-void
-CsrGraph::registerSetIndex()
-{
-    if (!index_)
-        return;
-    streams::setindex::registerGraphIndex(this, edges_.data(),
-                                          edges_.size(), offsets_.data(),
-                                          numVertices(), index_);
-}
-
-CsrGraph::CsrGraph(const CsrGraph &other)
-    : offsets_(other.offsets_), edges_(other.edges_),
-      aboveOffsets_(other.aboveOffsets_), maxDegree_(other.maxDegree_),
-      fingerprint_(other.fingerprint_), name_(other.name_),
-      vertexArrayBase_(other.vertexArrayBase_),
-      edgeArrayBase_(other.edgeArrayBase_), index_(other.index_)
-{
-    registerSetIndex();
-}
-
-CsrGraph &
-CsrGraph::operator=(const CsrGraph &other)
-{
-    if (this == &other)
-        return *this;
-    streams::setindex::unregisterGraphIndex(this);
-    offsets_ = other.offsets_;
-    edges_ = other.edges_;
-    aboveOffsets_ = other.aboveOffsets_;
-    maxDegree_ = other.maxDegree_;
-    fingerprint_ = other.fingerprint_;
-    name_ = other.name_;
-    vertexArrayBase_ = other.vertexArrayBase_;
-    edgeArrayBase_ = other.edgeArrayBase_;
-    index_ = other.index_;
-    registerSetIndex();
-    return *this;
-}
-
-CsrGraph::CsrGraph(CsrGraph &&other) noexcept
-    : offsets_(std::move(other.offsets_)),
-      edges_(std::move(other.edges_)),
-      aboveOffsets_(std::move(other.aboveOffsets_)),
-      maxDegree_(other.maxDegree_), fingerprint_(other.fingerprint_),
-      name_(std::move(other.name_)),
-      vertexArrayBase_(other.vertexArrayBase_),
-      edgeArrayBase_(other.edgeArrayBase_),
-      index_(std::move(other.index_))
-{
-    // Vector moves keep the data pointer, so the registration simply
-    // changes owner.
-    streams::setindex::unregisterGraphIndex(&other);
-    registerSetIndex();
-}
-
-CsrGraph &
-CsrGraph::operator=(CsrGraph &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    streams::setindex::unregisterGraphIndex(this);
-    streams::setindex::unregisterGraphIndex(&other);
-    offsets_ = std::move(other.offsets_);
-    edges_ = std::move(other.edges_);
-    aboveOffsets_ = std::move(other.aboveOffsets_);
-    maxDegree_ = other.maxDegree_;
-    fingerprint_ = other.fingerprint_;
-    name_ = std::move(other.name_);
-    vertexArrayBase_ = other.vertexArrayBase_;
-    edgeArrayBase_ = other.edgeArrayBase_;
-    index_ = std::move(other.index_);
-    registerSetIndex();
-    return *this;
-}
-
-CsrGraph::~CsrGraph()
-{
-    streams::setindex::unregisterGraphIndex(this);
 }
 
 double

@@ -16,13 +16,11 @@
 #define SPARSECORE_GRAPH_CSR_GRAPH_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
-#include "streams/setindex/set_index.hh"
 
 namespace sc::graph {
 
@@ -39,18 +37,6 @@ class CsrGraph
      */
     CsrGraph(std::vector<std::uint64_t> offsets, std::vector<VertexId> edges,
              std::string name = "graph");
-
-    // The stream set index is registered against the live edge-array
-    // pointer range (streams/setindex/registry.hh), so the graph
-    // manages that registration across copies, moves and destruction:
-    // copies re-register their own arrays, moves transfer the
-    // registration (vector moves keep the data pointer), and the
-    // destructor removes it strictly before the arrays are freed.
-    CsrGraph(const CsrGraph &other);
-    CsrGraph &operator=(const CsrGraph &other);
-    CsrGraph(CsrGraph &&other) noexcept;
-    CsrGraph &operator=(CsrGraph &&other) noexcept;
-    ~CsrGraph();
 
     VertexId numVertices() const
     {
@@ -136,19 +122,7 @@ class CsrGraph
                aboveOffsets_.size() * sizeof(std::uint32_t);
     }
 
-    /** Hybrid bitmap/array stream set index over this graph's
-     *  adjacency lists (null for empty or non-indexable graphs).
-     *  Shared by copies — the permutation and bitmap chunks are
-     *  identical for identical CSR arrays. */
-    const std::shared_ptr<const streams::setindex::StreamSetIndex> &
-    setIndex() const
-    {
-        return index_;
-    }
-
   private:
-    void registerSetIndex();
-
     std::vector<std::uint64_t> offsets_;
     std::vector<VertexId> edges_;
     std::vector<std::uint32_t> aboveOffsets_;
@@ -160,8 +134,6 @@ class CsrGraph
     // both offset from a fixed heap base.
     Addr vertexArrayBase_ = 0x100000000ull;
     Addr edgeArrayBase_ = 0;
-
-    std::shared_ptr<const streams::setindex::StreamSetIndex> index_;
 };
 
 } // namespace sc::graph

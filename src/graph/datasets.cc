@@ -13,8 +13,8 @@ namespace {
  * when concurrent sweep points request the same key (the in-flight
  * dedup replaces the old race-and-discard scheme). Capacity is
  * unbounded — loadGraph() hands out plain references, and every
- * downstream artifact (trace, bytecode, set-index registration) keys
- * off the resident graph.
+ * downstream artifact (trace, bytecode) keys off the resident
+ * graph.
  */
 LruCache<std::string, CsrGraph> &
 graphCache()

@@ -44,8 +44,8 @@ const GraphDataset &graphDataset(const std::string &key);
 /**
  * Generate (and memoize) the graph for a dataset key. The memo is a
  * common/cache.hh LruCache shared with the artifact store's report:
- * a graph is generated (and its StreamSetIndex built) exactly once
- * per process, even under concurrent sweep points. Returned
+ * a graph is generated exactly once per process, even under
+ * concurrent sweep points. Returned
  * references stay valid for the process lifetime (the registry cache
  * is unbounded — dataset graphs are the roots every other artifact
  * hangs off).

@@ -108,10 +108,8 @@ class MemoryImage
     /**
      * Zero-copy typed view of n elements. Segments borrow the host
      * program's live arrays, so a view into a graph's edge segment
-     * IS a span into that graph's edge array — which is what lets
-     * runSetOp resolve interpreter operands in the setindex registry
-     * and pick hybrid formats with no interpreter-level plumbing.
-     * Valid while the segment's backing array lives.
+     * IS a span into that graph's edge array (no copy per set-op
+     * operand). Valid while the segment's backing array lives.
      */
     template <typename T>
     std::span<const T>

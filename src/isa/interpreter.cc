@@ -324,8 +324,7 @@ Interpreter::execNestedIntersect(const Inst &inst)
             const auto above = mem_.read<std::uint32_t>(
                 above_base + s * 4);
             // Zero-copy: for graph-backed memory images this span
-            // aliases the live edge array, so the nested operand
-            // resolves in the setindex registry.
+            // aliases the live edge array.
             const auto nested = mem_.viewArray<Key>(
                 edge_base + row_begin * sizeof(Key), above);
             total += streams::runSetOpCount(

@@ -66,11 +66,10 @@ class Interpreter
     void execStream(const Inst &inst);
     void execNestedIntersect(const Inst &inst);
 
-    /** Materialize both operand key streams of a binary set op. */
-    /** Zero-copy operand views: memory-backed streams alias the
-     *  borrowed segment arrays, so graph-resident operands resolve in
-     *  the setindex registry and runSetOp can pick hybrid formats.
-     *  The views are consumed before any register is redefined. */
+    /** Zero-copy operand views of a binary set op: memory-backed
+     *  streams alias the borrowed segment arrays, so no operand is
+     *  copied. The views are consumed before any register is
+     *  redefined. */
     void loadOperands(const Inst &inst, std::span<const Key> &a,
                       std::span<const Key> &b);
 

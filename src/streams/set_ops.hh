@@ -282,7 +282,7 @@ Cycles suCycles(KeySpan a, KeySpan b, SetOpKind kind, Key bound = noBound,
 // The templates above are the scalar REFERENCE (and the per-step
 // visitor source for the CPU cost model). Functional hot paths go
 // through these entry points instead, which route to the process's
-// active kernel table (streams/simd/kernel_table.hh): AVX2 / SSE4 /
+// active kernel table (streams/simd/kernel_table.hh): AVX2 or
 // scalar, CPUID-selected, SC_FORCE_KERNEL-overridable. All levels
 // return bit-identical SetOpResults and outputs; only host
 // wall-clock changes. Defined in streams/simd/kernel_table.cc.

@@ -12,7 +12,6 @@
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "streams/setindex/hybrid.hh"
 
 namespace sc::streams {
 
@@ -26,12 +25,6 @@ tableFor(KernelLevel level)
     switch (level) {
       case KernelLevel::Scalar:
         return &simd::scalarKernelTable();
-      case KernelLevel::Sse:
-#if defined(SPARSECORE_HAVE_X86_KERNELS)
-        if (__builtin_cpu_supports("sse4.1"))
-            return &simd::sseKernelTable();
-#endif
-        return nullptr;
       case KernelLevel::Avx2:
 #if defined(SPARSECORE_HAVE_X86_KERNELS)
         if (__builtin_cpu_supports("avx2"))
@@ -46,8 +39,6 @@ const KernelTable *
 bestAvailable()
 {
     if (const KernelTable *t = tableFor(KernelLevel::Avx2))
-        return t;
-    if (const KernelTable *t = tableFor(KernelLevel::Sse))
         return t;
     return &simd::scalarKernelTable();
 }
@@ -84,8 +75,6 @@ kernelLevelName(KernelLevel level)
     switch (level) {
       case KernelLevel::Scalar:
         return "scalar";
-      case KernelLevel::Sse:
-        return "sse";
       case KernelLevel::Avx2:
         return "avx2";
       default:
@@ -98,8 +87,6 @@ parseKernelLevel(std::string_view name)
 {
     if (name == "scalar")
         return KernelLevel::Scalar;
-    if (name == "sse")
-        return KernelLevel::Sse;
     if (name == "avx2")
         return KernelLevel::Avx2;
     return std::nullopt;
@@ -131,7 +118,7 @@ availableKernelLevels()
 {
     std::vector<KernelLevel> levels;
     for (const KernelLevel level :
-         {KernelLevel::Scalar, KernelLevel::Sse, KernelLevel::Avx2})
+         {KernelLevel::Scalar, KernelLevel::Avx2})
         if (kernelLevelAvailable(level))
             levels.push_back(level);
     return levels;
@@ -162,14 +149,6 @@ SetOpResult
 runSetOp(SetOpKind kind, KeySpan a, KeySpan b, Key bound,
          std::vector<Key> *out)
 {
-    // Hybrid-format fast path: operands that resolve to registered
-    // adjacency lists with bitmap chunks run the setindex kernels
-    // (bit-identical outputs and SetOpResult; DESIGN.md §11).
-    if (setindex::indexedDispatchPossible(a, b)) {
-        SetOpResult res;
-        if (setindex::tryRunIndexed(kind, a, b, bound, out, res))
-            return res;
-    }
     const KernelTable &t = activeKernels();
     switch (kind) {
       case SetOpKind::Intersect:

@@ -7,8 +7,8 @@
  * intersection/subtraction/merge the GPM executor, the stream-ISA
  * interpreter and the tensor kernels evaluate — mirrors that idea on
  * the host: a KernelTable holds one implementation per operation and
- * is selected once per process from CPUID (AVX2 > SSE4 > scalar),
- * overridable with SC_FORCE_KERNEL=scalar|sse|avx2|auto or a
+ * is selected once per process from CPUID (AVX2 > scalar),
+ * overridable with SC_FORCE_KERNEL=scalar|avx2|auto or a
  * ScopedKernelOverride.
  *
  * Invariant (enforced by tests/kernel_table_test.cc): every kernel
@@ -32,11 +32,11 @@
 namespace sc::streams {
 
 /** Host instruction-set tier of a kernel implementation. */
-enum class KernelLevel : unsigned { Scalar = 0, Sse = 1, Avx2 = 2 };
+enum class KernelLevel : unsigned { Scalar, Avx2 };
 
 const char *kernelLevelName(KernelLevel level);
 
-/** "scalar"|"sse"|"avx2" -> level; anything else -> nullopt. */
+/** "scalar"|"avx2" -> level; anything else -> nullopt. */
 std::optional<KernelLevel> parseKernelLevel(std::string_view name);
 
 /**
@@ -95,10 +95,9 @@ class ScopedKernelOverride
 };
 
 namespace simd {
-/** Per-level tables (scalar always; SSE/AVX2 when compiled in). */
+/** Per-level tables (scalar always; AVX2 when compiled in). */
 const KernelTable &scalarKernelTable();
 #if defined(SPARSECORE_HAVE_X86_KERNELS)
-const KernelTable &sseKernelTable();
 const KernelTable &avx2KernelTable();
 #endif
 } // namespace simd

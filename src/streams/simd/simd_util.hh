@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared machinery for the SSE/AVX2 set-operation kernels: bound
+ * Shared machinery for the AVX2 set-operation kernels: bound
  * trimming, closed-form reconstruction of the scalar reference
  * loop's SetOpResult, skew (galloping) fast paths, and the compacted
  * -store emit tables. Everything here is portable scalar code; the
- * intrinsics live in sse_kernels.cc / avx2_kernels.cc.
+ * intrinsics live in avx2_kernels.cc.
  *
  * Why closed forms: a block kernel does not walk the scalar loop, so
  * it cannot count steps or final pointer positions directly — and a
@@ -301,35 +301,6 @@ makeAvx2EmitTable()
 }
 
 inline constexpr Avx2EmitTable avx2EmitTable = makeAvx2EmitTable();
-
-/** SSE compaction table for _mm_shuffle_epi8: entry m packs the
- *  4-byte groups of the mask's set lanes; 0x80 zeroes the rest. */
-struct SseEmitTable
-{
-    alignas(16) std::uint8_t bytes[16][16];
-};
-
-constexpr SseEmitTable
-makeSseEmitTable()
-{
-    SseEmitTable t{};
-    for (unsigned m = 0; m < 16; ++m) {
-        unsigned n = 0;
-        for (unsigned lane = 0; lane < 4; ++lane) {
-            if (!(m & (1u << lane)))
-                continue;
-            for (unsigned byte = 0; byte < 4; ++byte)
-                t.bytes[m][n * 4 + byte] =
-                    static_cast<std::uint8_t>(lane * 4 + byte);
-            ++n;
-        }
-        for (unsigned k = n * 4; k < 16; ++k)
-            t.bytes[m][k] = 0x80;
-    }
-    return t;
-}
-
-inline constexpr SseEmitTable sseEmitTable = makeSseEmitTable();
 
 } // namespace sc::streams::simd
 

@@ -1,13 +1,9 @@
 #include "trace/replay.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "analysis/trace_check.hh"
 #include "backend/cpu_backend.hh"
 #include "backend/functional_backend.hh"
 #include "backend/sparsecore_backend.hh"
-#include "common/config.hh"
 #include "common/logging.hh"
 #include "trace/compile.hh"
 
@@ -29,9 +25,8 @@ mapHandle(const std::vector<BackendStream> &map, TraceStream h)
     return map[h];
 }
 
-/** The original engine: walk the Event records, one virtual call
- *  per event. Kept verbatim as the bit-identity reference the
- *  bytecode loop is pinned against. */
+} // namespace
+
 ReplayResult
 replayEvents(const Trace &trace, backend::ExecBackend &backend)
 {
@@ -129,6 +124,8 @@ replayEvents(const Trace &trace, backend::ExecBackend &backend)
     out.breakdown = backend.breakdown();
     return out;
 }
+
+namespace {
 
 /**
  * walkBytecode handler issuing backend calls. Instantiated once per
@@ -269,40 +266,9 @@ runBytecode(const BytecodeProgram &bc, B &backend)
 
 } // namespace
 
-const char *
-replayModeName(ReplayMode mode)
-{
-    switch (mode) {
-      case ReplayMode::Auto:
-        return "auto";
-      case ReplayMode::Event:
-        return "event";
-      case ReplayMode::Bytecode:
-        return "bytecode";
-    }
-    return "unknown";
-}
-
-ReplayMode
-defaultReplayMode()
-{
-    // config() validates SC_REPLAY; "auto" resolves to the bytecode
-    // engine (the default since PR 6).
-    static const ReplayMode mode =
-        config().replay == "event" ? ReplayMode::Event
-                                   : ReplayMode::Bytecode;
-    return mode;
-}
-
-ReplayMode
-resolveReplayMode(ReplayMode mode)
-{
-    return mode == ReplayMode::Auto ? defaultReplayMode() : mode;
-}
-
 ReplayResult
 replay(const Trace &trace, backend::ExecBackend &backend,
-       std::optional<bool> verify, ReplayMode mode)
+       std::optional<bool> verify)
 {
     if (verify.value_or(analysis::verifyByDefault())) {
         const analysis::VerifyReport report =
@@ -310,9 +276,6 @@ replay(const Trace &trace, backend::ExecBackend &backend,
         if (report.hasErrors())
             throw analysis::VerifyError(report.format());
     }
-
-    if (resolveReplayMode(mode) == ReplayMode::Event)
-        return replayEvents(trace, backend);
 
     // Verified above (the bytecode preserves event order, so the
     // trace-level check covers it); don't re-verify per replay.

@@ -69,10 +69,10 @@ TEST(ArtifactStore, CompareColdWarmBitIdentical)
         EXPECT_EQ(cmp->functionalResult, off.functionalResult);
         EXPECT_EQ(cmp->baseline.cycles, off.baseline.cycles);
         EXPECT_EQ(cmp->accelerated.cycles, off.accelerated.cycles);
-        EXPECT_EQ(cmp->trace.events, off.trace.events);
+        EXPECT_EQ(cmp->trace->events, off.trace->events);
     }
-    EXPECT_FALSE(cold.trace.traceCacheHit);
-    EXPECT_TRUE(warm.trace.traceCacheHit);
+    EXPECT_FALSE(cold.trace->traceCacheHit);
+    EXPECT_TRUE(warm.trace->traceCacheHit);
 }
 
 TEST(ArtifactStore, RunColdWarmBitIdentical)
@@ -114,7 +114,7 @@ TEST(ArtifactStore, FsmColdWarmBitIdentical)
     EXPECT_EQ(warm2.baseline.cycles, off.baseline.cycles);
     EXPECT_EQ(warm1.accelerated.cycles, off.accelerated.cycles);
     EXPECT_EQ(warm2.accelerated.cycles, off.accelerated.cycles);
-    EXPECT_TRUE(warm2.trace.traceCacheHit);
+    EXPECT_TRUE(warm2.trace->traceCacheHit);
 }
 
 TEST(ArtifactStore, ContentKeyedAcrossGraphObjects)
@@ -131,7 +131,7 @@ TEST(ArtifactStore, ContentKeyedAcrossGraphObjects)
         RunRequest::gpm(gpm::GpmApp::C4, g1, withCache(true)));
     const auto second = machine.compare(
         RunRequest::gpm(gpm::GpmApp::C4, g2, withCache(true)));
-    EXPECT_TRUE(second.trace.traceCacheHit);
+    EXPECT_TRUE(second.trace->traceCacheHit);
     EXPECT_EQ(second.functionalResult, first.functionalResult);
     EXPECT_EQ(second.baseline.cycles, first.baseline.cycles);
     EXPECT_EQ(second.accelerated.cycles, first.accelerated.cycles);
@@ -173,8 +173,7 @@ TEST(ArtifactStore, WarmHitsSkipCaptureAndCompile)
     // hit, and no new misses.
     Machine machine;
     const auto g = testGraph(106);
-    RunOptions options = withCache(true);
-    options.replayMode = trace::ReplayMode::Bytecode;
+    const RunOptions options = withCache(true);
 
     machine.compare(RunRequest::gpm(gpm::GpmApp::TC, g, options));
     const auto before = ArtifactStore::global().stats();

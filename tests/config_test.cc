@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -37,14 +39,12 @@ load(const std::map<std::string, std::string> &env)
 TEST(Config, Defaults)
 {
     const Config cfg = load({});
-    EXPECT_EQ(cfg.replay, "auto");
     EXPECT_EQ(cfg.jobSched, "affinity");
     EXPECT_FALSE(cfg.verify.has_value());
     EXPECT_TRUE(cfg.artifactCache);
     EXPECT_EQ(cfg.artifactCacheBytes, std::size_t{1} << 30);
     EXPECT_EQ(cfg.hostThreads, 0u);
     EXPECT_EQ(cfg.forceKernel, "auto");
-    EXPECT_EQ(cfg.forceSetindex, "auto");
     EXPECT_EQ(cfg.benchDir, "bench_results");
     EXPECT_FALSE(cfg.benchSmoke);
 }
@@ -52,18 +52,15 @@ TEST(Config, Defaults)
 TEST(Config, ParsesEveryKnob)
 {
     const Config cfg = load({
-        {"SC_REPLAY", "event"},
         {"SC_JOB_SCHED", "fifo"},
         {"SC_VERIFY", "1"},
         {"SC_ARTIFACT_CACHE", "off"},
         {"SC_ARTIFACT_CACHE_BYTES", "1048576"},
         {"SC_HOST_THREADS", "8"},
         {"SC_FORCE_KERNEL", "scalar"},
-        {"SC_FORCE_SETINDEX", "bitmap"},
         {"SC_BENCH_DIR", "/tmp/b"},
         {"SC_BENCH_SMOKE", "1"},
     });
-    EXPECT_EQ(cfg.replay, "event");
     EXPECT_EQ(cfg.jobSched, "fifo");
     ASSERT_TRUE(cfg.verify.has_value());
     EXPECT_TRUE(*cfg.verify);
@@ -71,7 +68,6 @@ TEST(Config, ParsesEveryKnob)
     EXPECT_EQ(cfg.artifactCacheBytes, 1048576u);
     EXPECT_EQ(cfg.hostThreads, 8u);
     EXPECT_EQ(cfg.forceKernel, "scalar");
-    EXPECT_EQ(cfg.forceSetindex, "bitmap");
     EXPECT_EQ(cfg.benchDir, "/tmp/b");
     EXPECT_TRUE(cfg.benchSmoke);
 }
@@ -85,9 +81,8 @@ TEST(Config, VerifyZeroDisables)
 
 TEST(Config, LoadBearingKnobsRejectBadValues)
 {
-    // A typo in SC_REPLAY or the cache knobs must fail loudly, not
+    // A typo in the scheduler or cache knobs must fail loudly, not
     // silently run a different experiment.
-    EXPECT_THROW(load({{"SC_REPLAY", "bytecod"}}), SimError);
     EXPECT_THROW(load({{"SC_JOB_SCHED", "lifo"}}), SimError);
     EXPECT_THROW(load({{"SC_ARTIFACT_CACHE", "maybe"}}), SimError);
     EXPECT_THROW(load({{"SC_ARTIFACT_CACHE_BYTES", "1GB"}}), SimError);
@@ -102,8 +97,26 @@ TEST(Config, TuningKnobsWarnAndFallBack)
     EXPECT_EQ(load({{"SC_HOST_THREADS", "four"}}).hostThreads, 0u);
     EXPECT_EQ(load({{"SC_FORCE_KERNEL", "avx512"}}).forceKernel,
               "auto");
-    EXPECT_EQ(load({{"SC_FORCE_SETINDEX", "btree"}}).forceSetindex,
-              "auto");
+    // "sse" names no kernel level: it auto-detects like any unknown
+    // value.
+    EXPECT_EQ(load({{"SC_FORCE_KERNEL", "sse"}}).forceKernel, "auto");
+}
+
+TEST(Config, ReadsExactlyTheDescribedKnobs)
+{
+    // The loader looks up only the knobs describeConfig() lists, so
+    // an environment still exporting a retired knob runs unaffected.
+    std::vector<std::string> asked;
+    loadConfig([&](const char *name) -> std::optional<std::string> {
+        asked.emplace_back(name);
+        return std::nullopt;
+    });
+    std::vector<std::string> described;
+    for (const ConfigKnob &k : describeConfig())
+        described.push_back(k.name);
+    std::sort(asked.begin(), asked.end());
+    std::sort(described.begin(), described.end());
+    EXPECT_EQ(asked, described);
 }
 
 TEST(Config, ProcessConfigIsStable)
@@ -115,7 +128,7 @@ TEST(Config, ProcessConfigIsStable)
 TEST(Config, DescribeCoversEveryKnob)
 {
     const auto knobs = describeConfig();
-    ASSERT_EQ(knobs.size(), 10u);
+    ASSERT_EQ(knobs.size(), 8u);
     for (const ConfigKnob &k : knobs) {
         EXPECT_EQ(k.name.rfind("SC_", 0), 0u) << k.name;
         EXPECT_FALSE(k.value.empty()) << k.name;

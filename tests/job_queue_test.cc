@@ -161,13 +161,13 @@ TEST(JobQueue, SingleWorkerRunsInSubmissionOrder)
 TEST(JobQueue, StatsExposeArtifactSharing)
 {
     // Two identical compare jobs: the second replays the first's
-    // captured trace and compiled program. The spec pins the
-    // bytecode engine so the program-hit assertion holds regardless
-    // of SC_REPLAY (JobSpec beats environment).
+    // captured trace and compiled program. The spec turns the store
+    // on so the hit assertions hold whatever SC_ARTIFACT_CACHE says
+    // (JobSpec beats environment).
     JobQueue queue(1);
     const std::string job =
         R"({"version":1,"workload":"gpm","app":"T","dataset":"W",)"
-        R"("options":{"replay":"bytecode"}})";
+        R"("options":{"artifact_cache":true}})";
     EXPECT_TRUE(queue.submitJson(job).get().ok);
     EXPECT_TRUE(queue.submitJson(job).get().ok);
     const api::JobQueueStats stats = queue.stats();
@@ -288,16 +288,21 @@ TEST(JobQueue, CancelRemovesParkedJobsAndReportsThem)
     // One warmer plus three parked siblings on a cold lane; the
     // siblings are cancelled while the warmer still runs. Their
     // futures complete immediately with a structured "cancelled"
-    // diagnostic; the warmer is unaffected.
+    // diagnostic; the warmer is unaffected. Lanes exist only with the
+    // store on, so the jobs turn it on themselves; the store starts
+    // empty so the warmer really captures (a resident trace would let
+    // it finish, and release the siblings, before cancel() runs).
+    api::ArtifactStore::global().clear();
     JobQueue queue(2, sc::api::SchedPolicy::Affinity);
     auto warmer = queue.submitJson(
         R"({"version":1,"id":"keeper","workload":"gpm","app":"T",)"
-        R"("dataset":"W"})");
+        R"("dataset":"W","options":{"artifact_cache":true}})");
     std::vector<std::future<JobReport>> parked;
     for (int i = 0; i < 3; ++i)
         parked.push_back(queue.submitJson(
             R"({"version":1,"id":"victim","workload":"gpm",)"
-            R"("app":"T","dataset":"W"})"));
+            R"("app":"T","dataset":"W",)"
+            R"("options":{"artifact_cache":true}})"));
     const std::size_t cancelled = queue.cancel("victim");
     EXPECT_EQ(cancelled, 3u);
     for (auto &f : parked) {
@@ -357,7 +362,8 @@ TEST(JobQueue, StatsExposeSchedulerCounters)
 {
     JobQueue queue(1, sc::api::SchedPolicy::Affinity);
     const std::string job =
-        R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})";
+        R"({"version":1,"workload":"gpm","app":"T","dataset":"W",)"
+        R"("options":{"artifact_cache":true}})";
     EXPECT_TRUE(queue.submitJson(job).get().ok);
     EXPECT_TRUE(queue.submitJson(job).get().ok);
     const api::JobQueueStats stats = queue.stats();
@@ -389,13 +395,14 @@ TEST(JobQueue, AdmissionRejectsWarmJobOverDeclaredSusBudget)
     JobQueue queue(1);
     const std::string warmup =
         R"({"version":1,"id":"warm","workload":"gpm","app":"TC",)"
-        R"("dataset":"W","mode":"run","substrate":"sparsecore"})";
+        R"("dataset":"W","mode":"run","substrate":"sparsecore",)"
+        R"("options":{"artifact_cache":true}})";
     EXPECT_TRUE(queue.submitJson(warmup).get().ok);
 
     auto f = queue.submitJson(
         R"({"version":1,"id":"tight","workload":"gpm","app":"TC",)"
         R"("dataset":"W","mode":"run","substrate":"sparsecore",)"
-        R"("arch":{"sus":1}})");
+        R"("arch":{"sus":1},"options":{"artifact_cache":true}})");
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     const JobReport r = f.get();
@@ -413,7 +420,8 @@ TEST(JobQueue, AdmissionRejectsWarmJobOverDeclaredSusBudget)
                                 R"("workload":"gpm","app":"TC",)"
                                 R"("dataset":"W","mode":"run",)"
                                 R"("substrate":"sparsecore",)"
-                                R"("arch":{"sus":8}})")
+                                R"("arch":{"sus":8},)"
+                                R"("options":{"artifact_cache":true}})")
                     .get()
                     .ok);
 
@@ -436,7 +444,8 @@ TEST(JobQueue, AdmissionRejectsWarmJobFailingVerification)
     api::ArtifactStore::global().clear();
     const std::string json =
         R"({"version":1,"id":"poisoned","workload":"gpm",)"
-        R"("app":"T","dataset":"W","options":{"verify":true}})";
+        R"("app":"T","dataset":"W",)"
+        R"("options":{"verify":true,"artifact_cache":true}})";
     const auto parsed = api::parseJobSpec(json);
     ASSERT_TRUE(parsed.ok());
     const auto resolved = api::resolveJob(*parsed.spec);
@@ -483,7 +492,7 @@ TEST(JobQueue, AdmissionAdmitsUndeclaredJobsAndCachesVerdicts)
     JobQueue queue(1);
     const std::string job =
         R"({"version":1,"workload":"gpm","app":"T","dataset":"W",)"
-        R"("options":{"verify":true}})";
+        R"("options":{"verify":true,"artifact_cache":true}})";
     EXPECT_TRUE(queue.submitJson(job).get().ok);
     EXPECT_TRUE(queue.submitJson(job).get().ok);
 
@@ -510,7 +519,8 @@ TEST(JobQueue, AdmissionComputesPressureOncePerTrace)
     JobQueue queue(1);
     const std::string job =
         R"({"version":1,"workload":"gpm","app":"TC","dataset":"W",)"
-        R"("mode":"run","substrate":"sparsecore")";
+        R"("mode":"run","substrate":"sparsecore",)"
+        R"("options":{"artifact_cache":true})";
     EXPECT_TRUE(queue.submitJson(job + "}").get().ok);
 
     const std::vector<unsigned> ladder = {1, 2, 4, 8, 16};
@@ -553,7 +563,8 @@ TEST(JobQueue, ClearedStoreRewarmsLaneAndParksSiblings)
     store.clear();
     JobQueue queue(2, sc::api::SchedPolicy::Affinity);
     const std::string job =
-        R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})";
+        R"({"version":1,"workload":"gpm","app":"T","dataset":"W",)"
+        R"("options":{"artifact_cache":true}})";
     EXPECT_TRUE(queue.submitJson(job).get().ok);
 
     store.clear();

@@ -62,8 +62,8 @@ validCorpus()
         R"({"version":1,"workload":"gpm","app":"TC","dataset":"W","arch":{"sus":8,"window":32,"bandwidth":64,"nested":false}})",
         R"({"version":1,"workload":"fsm","dataset":"C","min_support":500,"num_labels":4})",
         R"({"version":1,"workload":"spmspm","dataset":"C","dataset_b":"E","algorithm":"inner"})",
-        R"({"version":1,"workload":"ttv","dataset":"Ch","options":{"stride":8,"verify":false,"replay":"event"}})",
-        R"({"version":1,"workload":"ttm","dataset":"U","options":{"stride":16,"host_threads":2,"kernel":"scalar","index_policy":"array","artifact_cache":false}})",
+        R"({"version":1,"workload":"ttv","dataset":"Ch","options":{"stride":8,"verify":false}})",
+        R"({"version":1,"workload":"ttm","dataset":"U","options":{"stride":16,"host_threads":2,"kernel":"scalar","artifact_cache":false}})",
         R"({"version":1,"id":"p","priority":9,"workload":"gpm","app":"T","dataset":"W"})",
     };
     return corpus;
@@ -128,9 +128,11 @@ TEST(JobSpec, ResolveExposesDatasetAffinityKeys)
 {
     // gpm/fsm jobs route through the ArtifactStore, so their
     // affinity key is the store trace key; tensor workloads share no
-    // store artifacts and get no affinity.
+    // store artifacts and get no affinity. The specs turn the store
+    // on themselves, so the keys do not depend on SC_ARTIFACT_CACHE.
     const auto gpm = parseJobSpec(
-        R"({"version":1,"workload":"gpm","app":"T","dataset":"W"})");
+        R"({"version":1,"workload":"gpm","app":"T","dataset":"W",)"
+        R"("options":{"artifact_cache":true}})");
     ASSERT_TRUE(gpm.ok());
     const auto gpm_resolved = resolveJob(*gpm.spec);
     ASSERT_TRUE(gpm_resolved.ok());
@@ -138,7 +140,7 @@ TEST(JobSpec, ResolveExposesDatasetAffinityKeys)
 
     const auto fsm = parseJobSpec(
         R"({"version":1,"workload":"fsm","dataset":"C",)"
-        R"("min_support":500})");
+        R"("min_support":500,"options":{"artifact_cache":true}})");
     ASSERT_TRUE(fsm.ok());
     const auto fsm_resolved = resolveJob(*fsm.spec);
     ASSERT_TRUE(fsm_resolved.ok());
@@ -231,12 +233,14 @@ TEST(JobSpec, UnknownEnumStringsAreRejected)
             R"("algorithm":"fast"})")
             .errors,
         "algorithm"));
-    EXPECT_TRUE(hasField(
-        parseJobSpec(
-            R"({"version":1,"workload":"ttv","dataset":"Ch",)"
-            R"("options":{"replay":"jit"}})")
-            .errors,
-        "options.replay"));
+    // "sse" names no kernel level: a bad choice, not an abort.
+    const auto sse = parseJobSpec(
+        R"({"version":1,"workload":"ttv","dataset":"Ch",)"
+        R"("options":{"kernel":"sse"}})");
+    ASSERT_TRUE(hasField(sse.errors, "options.kernel"));
+    EXPECT_NE(sse.errors[0].message.find("(expected auto|scalar|avx2)"),
+              std::string::npos)
+        << sse.errors[0].message;
 }
 
 TEST(JobSpec, UnknownFieldsAreRejectedEverywhere)
@@ -258,6 +262,21 @@ TEST(JobSpec, UnknownFieldsAreRejectedEverywhere)
             R"("options":{"threads":4}})")
             .errors,
         "options.threads"));
+    // Option names the schema no longer has are unknown fields too,
+    // and the diagnostic lists what options accepts.
+    for (const char *field : {"replay", "index_policy"}) {
+        const auto r = parseJobSpec(
+            std::string(R"({"version":1,"workload":"gpm","dataset":"W",)"
+                        R"("options":{")") +
+            field + R"(":"auto"}})");
+        ASSERT_TRUE(hasField(r.errors, std::string("options.") + field))
+            << field;
+        EXPECT_NE(r.errors[0].message.find(
+                      "stride, root_stride, host_threads, kernel, "
+                      "verify, artifact_cache)"),
+                  std::string::npos)
+            << r.errors[0].message;
+    }
 }
 
 TEST(JobSpec, MissingDatasetReferences)

@@ -161,17 +161,31 @@ TEST(HostParallel, WallClockSpeedupWithFourThreads)
     HostOptions h1, h4;
     h1.pool = &one;
     h4.pool = &four;
+    // Both legs capture and replay every chunk themselves: with the
+    // artifact store on, the second leg would replay the chunk
+    // programs the first one stored, crediting the store to threads.
+    h1.artifactCache = false;
+    h4.artifactCache = false;
     // Warm up caches / page in the graph.
     mineParallelSparseCore(gpm::GpmApp::T, g, 6, {}, 1, h1);
 
+    // Best of three per leg: the minimum filters out preemption by
+    // whatever else shares the host (ctest also runs this test
+    // alone, tests/CMakeLists.txt).
     const auto time_run = [&](const HostOptions &h) {
-        const auto start = std::chrono::steady_clock::now();
-        const auto r =
-            mineParallelSparseCore(gpm::GpmApp::C4, g, 6, {}, 1, h);
-        const double s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-        return std::make_pair(r, s);
+        ParallelGpmResult r;
+        double best = 0;
+        for (int rep = 0; rep < 3; ++rep) {
+            const auto start = std::chrono::steady_clock::now();
+            r = mineParallelSparseCore(gpm::GpmApp::C4, g, 6, {}, 1, h);
+            const double s =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+            if (rep == 0 || s < best)
+                best = s;
+        }
+        return std::make_pair(r, best);
     };
     const auto [r1, t1] = time_run(h1);
     const auto [r4, t4] = time_run(h4);

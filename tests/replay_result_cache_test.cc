@@ -4,8 +4,8 @@
  * cached result equals a fresh replay for every GPM app and FSM on the
  * fig12 ladder; the CPU result keys on the core and memory parameters
  * only, so a ladder of compare jobs replays the CPU baseline once;
- * run siblings of a compare job hit; event-mode replays and store-off
- * runs never read the cache; clear() drops the results; concurrent
+ * run siblings of a compare job hit; store-off runs never read the
+ * cache; clear() drops the results; concurrent
  * compare jobs build each result once. The timing keys write every
  * config field, and the cost-bound summary keys on them too.
  */
@@ -49,7 +49,6 @@ cached()
 {
     RunOptions options;
     options.artifactCache = true;
-    options.replayMode = trace::ReplayMode::Bytecode;
     return options;
 }
 
@@ -221,7 +220,7 @@ TEST(ReplayResultCache, WarmLadderBuildsOneCpuBaseline)
             if (points == 0)
                 baseline = cmp.baseline.cycles;
             EXPECT_EQ(cmp.baseline.cycles, baseline);
-            EXPECT_FALSE(cmp.trace.resultCacheHit);
+            EXPECT_FALSE(cmp.trace->resultCacheHit);
             ++points;
         }
     }
@@ -250,17 +249,17 @@ TEST(ReplayResultCache, RunSiblingAfterCompareHits)
     const Machine machine(config);
 
     const Comparison cmp = machine.compare(req);
-    EXPECT_FALSE(cmp.trace.resultCacheHit);
+    EXPECT_FALSE(cmp.trace->resultCacheHit);
     const RunResult cpu = machine.run(req, Substrate::Cpu);
     const RunResult sc = machine.run(req, Substrate::SparseCore);
-    EXPECT_TRUE(cpu.trace.resultCacheHit);
-    EXPECT_TRUE(sc.trace.resultCacheHit);
+    EXPECT_TRUE(cpu.trace->resultCacheHit);
+    EXPECT_TRUE(sc.trace->resultCacheHit);
     EXPECT_EQ(cpu.cycles, cmp.baseline.cycles);
     EXPECT_EQ(cpu.breakdown.cycles, cmp.baseline.breakdown.cycles);
     EXPECT_EQ(sc.cycles, cmp.accelerated.cycles);
     EXPECT_EQ(sc.breakdown.cycles, cmp.accelerated.breakdown.cycles);
     EXPECT_EQ(cpu.functionalResult, cmp.functionalResult);
-    EXPECT_TRUE(machine.compare(req).trace.resultCacheHit);
+    EXPECT_TRUE(machine.compare(req).trace->resultCacheHit);
 
     // The hit flag is host bookkeeping: it leaves with the trace
     // stats, which --no-timing reports drop.
@@ -268,32 +267,28 @@ TEST(ReplayResultCache, RunSiblingAfterCompareHits)
               std::string::npos);
 }
 
-TEST(ReplayResultCache, EventModeAndStoreOffNeverReadTheCache)
+TEST(ReplayResultCache, StoreOffNeverReadsTheCache)
 {
     const auto g = storeGraph(403);
-    RunOptions event = cached();
-    event.replayMode = trace::ReplayMode::Event;
     RunOptions off;
     off.artifactCache = false;
     const Machine machine;
     ArtifactStore &store = ArtifactStore::global();
     const auto before = store.stats().results;
 
-    for (const RunOptions &options : {event, off}) {
-        const RunRequest req = RunRequest::gpm(gpm::GpmApp::T, g, options);
-        for (int i = 0; i < 2; ++i) {
-            for (const Substrate substrate :
-                 {Substrate::Cpu, Substrate::SparseCore})
-                EXPECT_FALSE(
-                    machine.run(req, substrate).trace.resultCacheHit);
-            EXPECT_FALSE(machine.compare(req).trace.resultCacheHit);
-        }
+    const RunRequest req = RunRequest::gpm(gpm::GpmApp::T, g, off);
+    for (int i = 0; i < 2; ++i) {
+        // A store-off run executes live and carries no trace stats.
+        for (const Substrate substrate :
+             {Substrate::Cpu, Substrate::SparseCore})
+            EXPECT_FALSE(machine.run(req, substrate).trace.has_value());
+        EXPECT_FALSE(machine.compare(req).trace->resultCacheHit);
     }
     const auto after = store.stats().results;
     EXPECT_EQ(after.hits, before.hits);
     EXPECT_EQ(after.misses, before.misses);
 
-    // The bytecode path then replays once and agrees with both.
+    // The store path then replays once and agrees with it.
     const Comparison bytecode =
         machine.compare(RunRequest::gpm(gpm::GpmApp::T, g, cached()));
     const Comparison live =

@@ -140,7 +140,6 @@ cached()
 {
     api::RunOptions options;
     options.artifactCache = true;
-    options.replayMode = trace::ReplayMode::Bytecode;
     return options;
 }
 
@@ -370,7 +369,6 @@ TEST(SuCostTable, StorePathsMatchStoreOffCycles)
 
     api::HostOptions host_on;
     host_on.artifactCache = true;
-    host_on.replayMode = trace::ReplayMode::Bytecode;
     api::HostOptions host_off;
     host_off.artifactCache = false;
     const auto mined_on = api::mineParallelSparseCore(

@@ -214,9 +214,7 @@ TEST(CostBounds, ChunkedParallelTracesBracketAndVerifyClean)
 
         backend::FunctionalBackend inner;
         analysis::VerifyingBackend vbe(inner);
-        EXPECT_NO_THROW(
-            trace::replay(tr, vbe, /*verify=*/false,
-                          trace::ReplayMode::Event))
+        EXPECT_NO_THROW(trace::replayEvents(tr, vbe))
             << "chunk " << chunk;
 
         expectBrackets(tr, "chunk " + std::to_string(chunk));

@@ -6,7 +6,8 @@
  * bit-identical between the event walker and the bytecode loops for
  * every GPM app and tensor kernel on both timing substrates, the SCBC
  * image is byte-stable and validated on load, and the api paths
- * (Machine::compare / compareParallelGpm) agree across replay modes.
+ * (Machine::compare / compareParallelGpm / mineParallelSparseCore)
+ * agree with the event walker.
  */
 
 #include <gtest/gtest.h>
@@ -297,7 +298,7 @@ TEST(BytecodeRoundTrip, HandBuiltExplicitResultIds)
                      "hand-built serialized");
 }
 
-// ---------------- replay-mode cycle identity ----------------
+// ---------------- engine cycle identity ----------------
 
 TEST(BytecodeReplay, CycleIdenticalForEveryGpmApp)
 {
@@ -310,19 +311,15 @@ TEST(BytecodeReplay, CycleIdenticalForEveryGpmApp)
 
         backend::CpuBackend cpu_e(config.core, config.mem);
         backend::CpuBackend cpu_b(config.core, config.mem);
-        const auto ce = trace::replay(tr, cpu_e, std::nullopt,
-                                      trace::ReplayMode::Event);
-        const auto cb = trace::replay(tr, cpu_b, std::nullopt,
-                                      trace::ReplayMode::Bytecode);
+        const auto ce = trace::replayEvents(tr, cpu_e);
+        const auto cb = trace::replay(tr, cpu_b);
         EXPECT_EQ(ce.cycles, cb.cycles) << gpm::gpmAppName(app);
         EXPECT_EQ(ce.breakdown.cycles, cb.breakdown.cycles)
             << gpm::gpmAppName(app);
 
         backend::SparseCoreBackend sc_e(config), sc_b(config);
-        const auto se = trace::replay(tr, sc_e, std::nullopt,
-                                      trace::ReplayMode::Event);
-        const auto sb = trace::replay(tr, sc_b, std::nullopt,
-                                      trace::ReplayMode::Bytecode);
+        const auto se = trace::replayEvents(tr, sc_e);
+        const auto sb = trace::replay(tr, sc_b);
         EXPECT_EQ(se.cycles, sb.cycles) << gpm::gpmAppName(app);
         EXPECT_EQ(se.breakdown.cycles, sb.breakdown.cycles)
             << gpm::gpmAppName(app);
@@ -343,11 +340,9 @@ TEST(BytecodeReplay, CycleIdenticalForFsm)
 
     const arch::SparseCoreConfig config;
     backend::SparseCoreBackend sc_e(config), sc_b(config);
-    EXPECT_EQ(trace::replay(tr, sc_e, std::nullopt,
-                            trace::ReplayMode::Event)
+    EXPECT_EQ(trace::replayEvents(tr, sc_e)
                   .cycles,
-              trace::replay(tr, sc_b, std::nullopt,
-                            trace::ReplayMode::Bytecode)
+              trace::replay(tr, sc_b)
                   .cycles);
 }
 
@@ -386,19 +381,15 @@ TEST(BytecodeReplay, CycleIdenticalForTensorKernels)
         expectRoundTrip(tr, "tensor");
         backend::CpuBackend cpu_e(config.core, config.mem);
         backend::CpuBackend cpu_b(config.core, config.mem);
-        EXPECT_EQ(trace::replay(tr, cpu_e, std::nullopt,
-                                trace::ReplayMode::Event)
+        EXPECT_EQ(trace::replayEvents(tr, cpu_e)
                       .cycles,
-                  trace::replay(tr, cpu_b, std::nullopt,
-                                trace::ReplayMode::Bytecode)
+                  trace::replay(tr, cpu_b)
                       .cycles)
             << "kernel trace " << i;
         backend::SparseCoreBackend sc_e(config), sc_b(config);
-        EXPECT_EQ(trace::replay(tr, sc_e, std::nullopt,
-                                trace::ReplayMode::Event)
+        EXPECT_EQ(trace::replayEvents(tr, sc_e)
                       .cycles,
-                  trace::replay(tr, sc_b, std::nullopt,
-                                trace::ReplayMode::Bytecode)
+                  trace::replay(tr, sc_b)
                       .cycles)
             << "kernel trace " << i;
     }
@@ -434,9 +425,8 @@ TEST(BytecodeReplay, FunctionalStatsIdenticalAcrossEngines)
     for (std::size_t i = 0; i < traces.size(); ++i) {
         const trace::Trace &tr = traces[i];
         backend::FunctionalBackend ev, bc;
-        trace::replay(tr, ev, std::nullopt, trace::ReplayMode::Event);
-        trace::replay(tr, bc, std::nullopt,
-                      trace::ReplayMode::Bytecode);
+        trace::replayEvents(tr, ev);
+        trace::replay(tr, bc);
         EXPECT_EQ(ev.stats().dump(), bc.stats().dump())
             << "trace " << i;
         EXPECT_EQ(ev.liveStreams(), bc.liveStreams()) << "trace " << i;
@@ -460,30 +450,13 @@ TEST(BytecodeReplay, ReplayCompiledMatchesEventWalk)
     const arch::SparseCoreConfig config;
     backend::SparseCoreBackend ref(config);
     const auto want =
-        trace::replay(tr, ref, std::nullopt, trace::ReplayMode::Event);
+        trace::replayEvents(tr, ref);
     for (int round = 0; round < 3; ++round) {
         backend::SparseCoreBackend be(config);
         const auto got = trace::replayCompiled(bc, be);
         EXPECT_EQ(want.cycles, got.cycles) << "round " << round;
         EXPECT_EQ(want.breakdown.cycles, got.breakdown.cycles);
     }
-}
-
-TEST(BytecodeReplay, ModeNamesAndResolution)
-{
-    EXPECT_STREQ(trace::replayModeName(trace::ReplayMode::Event),
-                 "event");
-    EXPECT_STREQ(trace::replayModeName(trace::ReplayMode::Bytecode),
-                 "bytecode");
-    // Explicit modes pass through resolution untouched; only Auto
-    // consults SC_REPLAY.
-    EXPECT_EQ(trace::resolveReplayMode(trace::ReplayMode::Event),
-              trace::ReplayMode::Event);
-    EXPECT_EQ(trace::resolveReplayMode(trace::ReplayMode::Bytecode),
-              trace::ReplayMode::Bytecode);
-    EXPECT_EQ(trace::resolveReplayMode(trace::ReplayMode::Auto),
-              trace::defaultReplayMode());
-    EXPECT_NE(trace::defaultReplayMode(), trace::ReplayMode::Auto);
 }
 
 // ---------------- serialization ----------------
@@ -560,68 +533,78 @@ TEST(BytecodeSerialization, GoldenBytecodeStaysByteStable)
     const auto golden = trace::BytecodeProgram::loadFile(path);
     backend::SparseCoreBackend be_a, be_b;
     EXPECT_EQ(trace::replayCompiled(golden, be_a).cycles,
-              trace::replay(tr, be_b, std::nullopt,
-                            trace::ReplayMode::Event)
+              trace::replayEvents(tr, be_b)
                   .cycles);
 }
 
-// ---------------- api paths across modes ----------------
+// ---------------- api paths against the event walker ----------------
 
-TEST(BytecodeApi, CompareIdenticalAcrossReplayModes)
+TEST(BytecodeApi, CompareMatchesEventWalk)
 {
     const auto g = test::randomTestGraph(90, 700, 97);
-    api::Machine machine;
-    auto req = api::RunRequest::gpm(gpm::GpmApp::TC, g);
+    const arch::SparseCoreConfig config;
+    const api::Machine machine(config);
+    const auto cmp =
+        machine.compare(api::RunRequest::gpm(gpm::GpmApp::TC, g));
 
-    req.options.replayMode = trace::ReplayMode::Event;
-    const auto ev = machine.compare(req);
-    req.options.replayMode = trace::ReplayMode::Bytecode;
-    const auto bc = machine.compare(req);
+    const trace::Trace tr = captureGpm(g, gpm::GpmApp::TC);
+    backend::CpuBackend cpu(config.core, config.mem);
+    backend::SparseCoreBackend sc(config);
+    const auto cpu_ref = trace::replayEvents(tr, cpu);
+    const auto sc_ref = trace::replayEvents(tr, sc);
+    EXPECT_EQ(cmp.baseline.cycles, cpu_ref.cycles);
+    EXPECT_EQ(cmp.accelerated.cycles, sc_ref.cycles);
+    EXPECT_EQ(cmp.baseline.breakdown.cycles, cpu_ref.breakdown.cycles);
+    EXPECT_EQ(cmp.accelerated.breakdown.cycles,
+              sc_ref.breakdown.cycles);
 
-    EXPECT_EQ(ev.baseline.cycles, bc.baseline.cycles);
-    EXPECT_EQ(ev.accelerated.cycles, bc.accelerated.cycles);
-    EXPECT_EQ(ev.baseline.breakdown.cycles,
-              bc.baseline.breakdown.cycles);
-    EXPECT_EQ(ev.functionalResult, bc.functionalResult);
-
-    // TraceStats: the bytecode leg reports its compiled size and
-    // mode; the event leg reports no bytecode.
-    EXPECT_EQ(ev.trace.replayMode, "event");
-    EXPECT_EQ(ev.trace.bytecodeBytes, 0u);
-    EXPECT_EQ(bc.trace.replayMode, "bytecode");
-    EXPECT_GT(bc.trace.bytecodeBytes, 0u);
-    EXPECT_GE(bc.trace.compileSeconds, 0.0);
-    EXPECT_NE(bc.str().find("bytecode:"), std::string::npos);
-    EXPECT_NE(bc.str().find("(bytecode)"), std::string::npos);
+    // TraceStats: every trace-driven comparison reports its compiled
+    // size.
+    ASSERT_TRUE(cmp.trace.has_value());
+    EXPECT_EQ(cmp.trace->events, tr.numEvents());
+    EXPECT_GT(cmp.trace->bytecodeBytes, 0u);
+    EXPECT_GE(cmp.trace->compileSeconds, 0.0);
+    EXPECT_NE(cmp.str().find("bytecode:"), std::string::npos);
 }
 
-TEST(BytecodeApi, CompareParallelIdenticalAcrossReplayModes)
+TEST(BytecodeApi, CompareParallelMatchesEventWalk)
 {
+    // Replays every root-loop chunk with the event walker, using the
+    // split the host-parallel runtime documents: chunk m of K * cores
+    // covers roots { m + i * K * cores } and is attributed to core
+    // m % cores.
     const auto g = test::randomTestGraph(150, 1200, 98);
-    api::HostOptions ev_host, bc_host;
-    ev_host.replayMode = trace::ReplayMode::Event;
-    bc_host.replayMode = trace::ReplayMode::Bytecode;
+    const arch::SparseCoreConfig config;
+    constexpr unsigned kCores = 4;
+    const api::HostOptions host;
+    const unsigned chunks = kCores * host.chunksPerCore;
 
-    const auto ev = api::compareParallelGpm(gpm::GpmApp::T, g, 4, {},
-                                            1, ev_host);
-    const auto bc = api::compareParallelGpm(gpm::GpmApp::T, g, 4, {},
-                                            1, bc_host);
-    EXPECT_EQ(ev.functionalResult, bc.functionalResult);
-    EXPECT_EQ(ev.baseline.cycles, bc.baseline.cycles);
-    EXPECT_EQ(ev.accelerated.cycles, bc.accelerated.cycles);
-    ASSERT_EQ(ev.baseline.perCore.size(), bc.baseline.perCore.size());
-    for (std::size_t c = 0; c < ev.baseline.perCore.size(); ++c) {
-        EXPECT_EQ(ev.baseline.perCore[c], bc.baseline.perCore[c]);
-        EXPECT_EQ(ev.accelerated.perCore[c],
-                  bc.accelerated.perCore[c]);
+    std::uint64_t embeddings = 0;
+    std::vector<Cycles> cpu_cores(kCores, 0), sc_cores(kCores, 0);
+    for (unsigned chunk = 0; chunk < chunks; ++chunk) {
+        trace::TraceRecorder recorder;
+        gpm::PlanExecutor executor(g, recorder);
+        executor.setRootRange(chunk, chunks);
+        embeddings +=
+            executor.runMany(gpm::gpmAppPlans(gpm::GpmApp::T)).embeddings;
+        const trace::Trace tr = recorder.takeTrace();
+        backend::CpuBackend cpu(config.core, config.mem);
+        backend::SparseCoreBackend sc(config);
+        cpu_cores[chunk % kCores] += trace::replayEvents(tr, cpu).cycles;
+        sc_cores[chunk % kCores] += trace::replayEvents(tr, sc).cycles;
     }
 
-    const auto mine_ev = api::mineParallelSparseCore(
-        gpm::GpmApp::T, g, 4, {}, 1, ev_host);
-    const auto mine_bc = api::mineParallelSparseCore(
-        gpm::GpmApp::T, g, 4, {}, 1, bc_host);
-    EXPECT_EQ(mine_ev.embeddings, mine_bc.embeddings);
-    EXPECT_EQ(mine_ev.cycles, mine_bc.cycles);
+    const auto cmp = api::compareParallelGpm(gpm::GpmApp::T, g, kCores,
+                                             config, 1, host);
+    EXPECT_EQ(cmp.functionalResult, embeddings);
+    EXPECT_EQ(cmp.baseline.perCore, cpu_cores);
+    EXPECT_EQ(cmp.accelerated.perCore, sc_cores);
+
+    const auto mined = api::mineParallelSparseCore(gpm::GpmApp::T, g,
+                                                   kCores, config, 1,
+                                                   host);
+    EXPECT_EQ(mined.embeddings, embeddings);
+    EXPECT_EQ(mined.perCore, sc_cores);
 }
 
 // ---------------- compactness ----------------

@@ -362,8 +362,8 @@ TEST(TraceApi, CompareGpmMatchesDirectRuns)
         EXPECT_EQ(cmp.accelerated.breakdown.cycles,
                   sc.breakdown.cycles);
         EXPECT_EQ(cmp.functionalResult, sc.functionalResult);
-        EXPECT_GT(cmp.trace.events, 0u);
-        EXPECT_GT(cmp.trace.arenaBytes, 0u);
+        EXPECT_GT(cmp.trace->events, 0u);
+        EXPECT_GT(cmp.trace->arenaBytes, 0u);
         EXPECT_NE(cmp.str().find("trace:"), std::string::npos);
     }
 }
